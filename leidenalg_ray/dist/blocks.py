@@ -43,6 +43,13 @@ def part_sizes(n, P):
     return [int((n - p + P - 1) // P) for p in range(P)]
 
 
+def _check_partitions(P):
+    """A graph needs at least one partition: P < 1 would build no
+    block and every kernel would return an empty answer."""
+    if P < 1:
+        raise ValueError(f"partition count P must be >= 1, got {P}")
+
+
 def symmetrize_edges(edges_ds):
     """Dataset (src, dst[, weight]) -> both directions per non-loop
     edge, emitted batch-locally (no shuffle). Undirected kernels over
@@ -85,6 +92,7 @@ class DistGraph:
 
     def __init__(self, n, P, directed, block_refs, out_deg_refs,
                  out_strength_refs):
+        _check_partitions(P)
         self.n = int(n)
         self.P = int(P)
         self.directed = bool(directed)
@@ -106,30 +114,17 @@ class DistGraph:
         blocks, P x P worker-to-worker like a superstep; cached)."""
         if self._in_deg is not None:
             return self._in_deg
-        P, sizes = self.P, self.sizes
+        # superstep imports this module; its runtime is loaded lazily
+        from .superstep import _exchange, _fold, _scatter
+        sizes = self.sizes
 
-        @ray.remote
-        def gather(block):
-            off = block["dst_offsets"]
-            outs = []
-            for q in range(P):
-                sl = slice(int(off[q]), int(off[q + 1]))
-                arr = np.zeros(sizes[q], dtype=np.int64)
-                np.add.at(arr, block["dst_local"][sl], 1)
-                outs.append(arr)
-            return outs
+        def gather(block, _):
+            return _scatter(block, np.ones(len(block["dst_local"]), np.int64),
+                            sizes, np.add, 0, np.int64)
 
-        @ray.remote
-        def reduce(*incoming):
-            tot = incoming[0].copy()
-            for arr in incoming[1:]:
-                tot += arr
-            return tot
-
-        msg = [gather.options(num_returns=P).remote(self.blocks[p])
-               for p in range(P)]
-        self._in_deg = [reduce.remote(*[msg[p][q] for p in range(P)])
-                        for q in range(P)]
+        self._in_deg = _exchange(self, gather,
+                                 lambda _, *incoming: _fold(incoming),
+                                 [None] * self.P, num_returns=1)
         return self._in_deg
 
     def active_masks(self):
@@ -137,17 +132,15 @@ class DistGraph:
         iff it has any in- or out-edge."""
         if self._active is not None:
             return self._active
-        ind = self.in_degree_shards()
+        from .superstep import _map
 
-        @ray.remote(num_returns=2)
-        def mk(outd, indd):
+        def mask(outd, indd):
             m = (outd > 0) | (indd > 0)
             return m, int(m.sum())
 
-        res = [mk.remote(self.out_deg[p], ind[p]) for p in range(self.P)]
-        masks = [r[0] for r in res]
-        n_active = int(sum(ray.get([r[1] for r in res])))
-        self._active = (masks, n_active)
+        masks, counts = _map(mask, self.out_deg, self.in_degree_shards(),
+                             num_returns=2)
+        self._active = (masks, int(sum(ray.get(counts))))
         return self._active
 
     def active_global(self):
@@ -196,6 +189,7 @@ class DistGraph:
         """both_directions: store each non-loop edge in both source
         partitions (needed by undirected gather kernels: CC, LP,
         undirected PageRank)."""
+        _check_partitions(P)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if n is None:
@@ -230,6 +224,7 @@ class DistGraph:
         import tempfile
         import pyarrow as pa
 
+        _check_partitions(P)
         spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_edges_")
         os.makedirs(spill_dir, exist_ok=True)
 

@@ -81,7 +81,7 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
     the oracle path) or ``{"path", "rows"}`` when each shard wrote
     its selected edges as ``part-r{round}-p{shard}.parquet`` from the
     worker (o(n) driver, resumable via skip-if-exists + tmp/replace
-    like ``_write_shard_task``)."""
+    like ``superstep._write_shard``)."""
     P, n, sizes = g.P, g.n, g.sizes
 
     @ray.remote(num_returns=max(P, 2))

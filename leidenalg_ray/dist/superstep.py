@@ -1,192 +1,238 @@
-"""BSP superstep engine over partitioned CSR blocks: PageRank,
-connected components, label propagation (SURVEY.md §2.8).
+"""BSP superstep runtime and the kernels built on it (SURVEY.md §2.8).
 
-Each superstep is: P gather tasks (one per source partition; reads its
-block + its vertex-state shard, both partition-local) that pre-aggregate
-messages per *destination partition* inside the task, then P reduce
-tasks (one per destination partition) that combine incoming message
-arrays and produce the next state shard. Message refs flow
-worker-to-worker (``num_returns=P``); the driver only orchestrates and
-sums tiny per-partition convergence metrics.
+Vertex state lives in P shards (vid ``v`` in shard ``v % P`` at local
+id ``v // P``), one object ref each; the edges of source partition p
+live in ``g.blocks[p]`` (``blocks.py``). Every kernel is written
+against one runtime of private helpers:
 
-This is the explicit form of the reference mapping in SURVEY.md §2.8 —
-``map_batches`` gather feeding a ``groupby(dst).sum`` shuffle — with
-the shuffle expressed as a deterministic P×P exchange so vertex state
-never leaves its partition and supersteps can checkpoint per-partition
-(``checkpoint.py``).
+- ``_scatter(block, per_edge, sizes, ufunc, fill, dtype)`` — the
+  per-destination-partition combine inside a gather task: one array
+  per destination partition q, ``fill``-initialised and
+  ``ufunc.at``-combined at the edges' destination local ids. A hub's
+  out-edges pre-aggregate here, so a block ships O(#distinct dst)
+  message rows per destination, not O(degree).
+- ``_exchange(g, gather, reduce, state_refs, ...)`` — one superstep:
+  P gather tasks ``gather(block_p, state_p, *args_p)``, each returning
+  P per-destination messages, then P reduce tasks
+  ``reduce(state_q, *args_q, *messages_into_q)`` (messages in source
+  partition order). Message refs flow worker to worker; the driver
+  only folds the reduce's last output, a per-partition scalar metric
+  (summed by default). Correct at any P >= 1.
+- ``_fixed_point(g, algo, state_refs, step, converged, max_iter,
+  checkpoint, result_out, column)`` — the loop of every checkpointed
+  kernel: resume from ``<checkpoint>/<algo>/`` (returning at once when
+  the checkpointed run had converged), ``step`` until
+  ``converged(metrics)`` or ``max_iter`` supersteps, save the shards
+  and metrics after each superstep (``checkpoint.py``), then
+  ``_finish``. It reports the supersteps completed, resumed ones
+  included.
+
+So a kernel is its initial state, its per-edge message and its
+combine. Shard work runs as stateless tasks of two module-level
+remote functions (``_run``, ``_run_split``) — no actor, no long-lived
+process — that take the kernel's function as an argument, pickled
+once per launch by ``_tasks``. Output goes through ``_finish``: an
+assembled array on the driver, or with ``result_out=<dir>`` one
+``(vid, <column>)`` parquet file per shard written by the workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import ray
+from ray import cloudpickle
 
-from .blocks import DistGraph, part_sizes
+from .blocks import DistGraph
 from .checkpoint import CheckpointManager
 
+BIG = np.iinfo(np.int64).max   # int64 min-identity / "unreached"
+
 
 # ----------------------------------------------------------------------
-# PageRank
+# Runtime
 # ----------------------------------------------------------------------
-def pagerank(g: DistGraph, damping=0.85, tol=1e-6, max_iter=200,
-             weighted=False, checkpoint=None,
-             message_dtype=np.float64, active=False, personalize=None,
-             init_rank=None, result_out=None):
-    """North-rule semantics: rank = (1-d)/n + d*(sum_in rank/outdeg +
-    dangling_mass/n); iterate until L1 delta < tol. ``weighted`` uses
-    strength-normalised contributions instead of degree.
-    ``message_dtype=np.float32`` halves the bytes each superstep ships
-    through the object store (messages accumulate partition-locally in
-    float64 and downcast only for the exchange; rank state stays
-    float64) — for throughput probes and bandwidth-tight clusters, not
-    for 1e-6-oracle runs.
-
-    ``active=True``: the vertex set is the vertices with >= 1 edge
-    (per-partition masks from the graph itself), so sparse raw id
-    spaces — ``DistGraph.from_dataset`` without any driver-side id
-    compaction — get the same n/teleport/dangling denominators a
-    compacted build would; inactive ids hold rank 0.
-
-    ``personalize``: seed vids — teleport (and dangling
-    redistribution) becomes uniform over the seeds (personalized
-    PageRank) instead of uniform over the vertex set.
-
-    ``init_rank``: dense length-n warm-start vector (e.g. the ranks
-    of the graph before a delta-edge batch landed, or a prior run's
-    converged state). Iterating from it is bit-identical to having
-    reached that state in-run, so warm-starting a converged vector
-    after small graph updates re-converges in a handful of supersteps
-    instead of from scratch — the dynamic-recrawl path for a web-scale
-    link graph.
-
-    ``result_out=<dir>``: each shard writes its ``(vid, rank)``
-    parquet from its worker instead of the driver assembling an O(n)
-    array — returns ``({"path", "rows", "column"}, iters)``. The
-    at-scale output seam (all superstep kernels share it via
-    ``_finish``), mirroring ``DistLeiden.run(membership_out=)``."""
-    P, n, sizes = g.P, g.n, g.sizes
-    if active:
-        act_refs, n_eff = g.active_masks()
-    else:
-        act_refs, n_eff = [None] * P, n
-    if personalize is not None:
-        seeds = np.asarray(personalize, dtype=np.int64)
-        p_refs = []
-        for p in range(P):
-            shard = np.zeros(sizes[p])
-            sp = seeds[seeds % P == p]
-            shard[sp // P] = 1.0 / len(seeds)
-            p_refs.append(ray.put(shard))
-    else:
-        p_refs = [None] * P
-
-    @ray.remote
-    def gather(block, rank, norm):
-        src_contrib = np.zeros(len(rank))
-        nz = norm > 0
-        src_contrib[nz] = rank[nz] / norm[nz]
-        if weighted:
-            per_edge = (src_contrib[block["src_local"]] * block["weight"])
-        else:
-            per_edge = src_contrib[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q])
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr.astype(message_dtype, copy=False))
-        return outs
-
-    @ray.remote
-    def dangling_of(rank, norm, act):
-        m = norm <= 0 if act is None else (act & (norm <= 0))
-        return float(rank[m].sum())
-
-    @ray.remote
-    def reduce(q_size, old, dangling_total, act, pvec, *incoming):
-        if pvec is None:
-            new = np.full(q_size, (1.0 - damping) / n_eff)
-            new += damping * dangling_total / n_eff
-        else:
-            new = (1.0 - damping + damping * dangling_total) * pvec
-        for arr in incoming:
-            new += damping * arr
-        if act is not None:
-            new[~act] = 0.0
-        return new, float(np.abs(new - old).sum())
-
-    @ray.remote
-    def init_shard(q_size, act, pvec, warm):
-        if warm is not None:
-            r = warm.astype(np.float64, copy=True)
-        elif pvec is None:
-            r = np.full(q_size, 1.0 / n_eff)
-        else:
-            r = pvec.copy()
-        if act is not None:
-            r[~act] = 0.0
-        return r
-
-    if init_rank is not None:
-        init_rank = np.asarray(init_rank, dtype=np.float64)
-        if len(init_rank) != g.n:
-            raise ValueError(
-                f"init_rank has length {len(init_rank)}, graph has "
-                f"n={g.n}")
-        warm_refs = [ray.put(init_rank[p::P]) for p in range(P)]
-    else:
-        warm_refs = [None] * P
-    norm_refs = g.out_strength if weighted else g.out_deg
-    rank_refs = [init_shard.remote(sizes[p], act_refs[p], p_refs[p],
-                                   warm_refs[p]) for p in range(P)]
-    ckpt = CheckpointManager(checkpoint, "pagerank", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    it = -1
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            rank_refs = [ray.put(s) for s in shards]
-            if metrics.get("l1_delta", np.inf) < tol:
-                # the checkpointed run already converged
-                return _finish(g, rank_refs, start_iter, result_out,
-                               "rank")
-
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], rank_refs[p], norm_refs[p]) for p in range(P)]
-        dang_refs = [dangling_of.remote(rank_refs[p], norm_refs[p],
-                                        act_refs[p]) for p in range(P)]
-        dangling_total = sum(ray.get(dang_refs))
-        outs = []
-        for q in range(P):
-            outs.append(reduce.options(num_returns=2).remote(
-                sizes[q], rank_refs[q], dangling_total, act_refs[q],
-                p_refs[q], *[msg_refs[p][q] for p in range(P)]))
-        rank_refs = [o[0] for o in outs]
-        delta = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(rank_refs),
-                      metrics={"l1_delta": delta})
-        if delta < tol:
-            break
-    return _finish(g, rank_refs, it + 1, result_out, "rank")
-
-
-def assemble(g: DistGraph, shard_refs):
-    """Shards -> one dense array indexed by global vid."""
-    out = np.zeros(g.n, dtype=np.asarray(ray.get(shard_refs[0])).dtype) \
-        if g.P else np.zeros(0)
-    for p in range(g.P):
-        shard = ray.get(shard_refs[p])
-        out[p::g.P] = shard
-    return out
+@ray.remote
+def _run(fn, *args):
+    """Every shard task of this module: ``fn`` (pickled by ``_tasks``)
+    applied to ``args`` on a worker."""
+    return cloudpickle.loads(fn)(*args)
 
 
 @ray.remote
-def _write_shard_task(shard, p, P, out_dir, column):
+def _run_split(fn, *args):
+    """``_run`` of a function returning one output per destination
+    partition, launched with ``num_returns=P``. Ray stores a single
+    return value whole, so at P=1 the one output goes back bare."""
+    outs = cloudpickle.loads(fn)(*args)
+    return outs[0] if len(outs) == 1 else outs
+
+
+def _tasks(fn, num_returns=1, split=False):
+    """Launcher of ``fn`` tasks: ``launch(*args)`` starts one and
+    returns its ref(s). ``fn`` is pickled once here, not once per
+    task. ``split``: each task returns ``num_returns`` = P outputs,
+    one per destination partition, handed back as a list of P refs
+    at any P."""
+    blob = cloudpickle.dumps(fn)
+    task = (_run_split if split else _run).options(num_returns=num_returns)
+    if split and num_returns == 1:
+        return lambda *args: [task.remote(blob, *args)]
+    return lambda *args: task.remote(blob, *args)
+
+
+def _map(fn, *cols, num_returns=1):
+    """One ``fn(cols[0][p], cols[1][p], ...)`` task per partition p: the
+    list of result refs, or one such list per return value when
+    ``num_returns > 1``."""
+    launch = _tasks(fn, num_returns)
+    outs = [launch(*args) for args in zip(*cols)]
+    return outs if num_returns == 1 else [list(c) for c in zip(*outs)]
+
+
+def _by_dest(block, *per_edge):
+    """Per destination partition q: ``(dst_local, *per_edge)`` cut to
+    the block's edges into q (contiguous — blocks sort by dst_part)."""
+    off = block["dst_offsets"]
+    cols = (block["dst_local"],) + per_edge
+    return [tuple(c[int(off[q]):int(off[q + 1])] for c in cols)
+            for q in range(len(off) - 1)]
+
+
+def _select(block, keep):
+    """The block's destination columns cut to the edges where ``keep``
+    is set, for a masked message set."""
+    pos = np.concatenate(([0], np.cumsum(keep)))
+    return {"dst_local": block["dst_local"][keep],
+            "dst_offsets": pos[block["dst_offsets"]]}
+
+
+def _scatter(block, per_edge, sizes, ufunc, fill, dtype):
+    """The per-destination combine of one block's per-edge messages:
+    array q has shape ``(sizes[q],) + per_edge.shape[1:]``, starts at
+    ``fill`` and takes ``ufunc.at`` of the messages into partition q
+    at their destination local ids, in edge order."""
+    outs = []
+    for size, (dst, msg) in zip(sizes, _by_dest(block, per_edge)):
+        arr = np.full((size,) + per_edge.shape[1:], fill, dtype=dtype)
+        ufunc.at(arr, dst, msg)
+        outs.append(arr)
+    return outs
+
+
+def _exchange(g, gather, reduce, state_refs, gather_args=(),
+              reduce_args=(), num_returns=2, metric=sum):
+    """One superstep over ``g``'s blocks (see the module docstring).
+    ``gather_args`` / ``reduce_args`` are per-partition lists. Returns
+    the reduce refs — one list per output when ``num_returns > 1``,
+    with the last output replaced by ``metric`` of its values
+    (``metric=None`` keeps the refs)."""
+    P = g.P
+    launch = _tasks(gather, P, split=True)
+    msgs = [launch(g.blocks[p], state_refs[p], *[a[p] for a in gather_args])
+            for p in range(P)]
+    outs = _map(reduce, state_refs, *reduce_args, *msgs,
+                num_returns=num_returns)
+    if num_returns > 1 and metric is not None:
+        outs[-1] = metric(ray.get(outs[-1]))
+    return outs
+
+
+def _fixed_point(g, algo, state_refs, step, converged, max_iter,
+                 checkpoint, result_out, column):
+    """Run ``state_refs, metrics = step(state_refs, metrics)`` to the
+    fixed point (see the module docstring); ``metrics`` starts as the
+    resumed checkpoint's or ``{}``. Returns ``_finish``'s result, or
+    ``(state_refs, supersteps, metrics)`` when ``column`` is None."""
+    ckpt = CheckpointManager(checkpoint, algo, g.P, n=g.n) \
+        if checkpoint else None
+    steps, metrics, done = 0, {}, False
+    if ckpt is not None:
+        resumed = ckpt.resume()
+        if resumed is not None:
+            steps, shards, metrics = resumed
+            state_refs = [ray.put(s) for s in shards]
+            done = converged(metrics)
+    while not done and steps < max_iter:
+        state_refs, metrics = step(state_refs, metrics)
+        steps += 1
+        if ckpt is not None:
+            ckpt.save(steps, ray.get(state_refs), metrics=metrics)
+        done = converged(metrics)
+    if column is None:
+        return state_refs, steps, metrics
+    return _finish(g, state_refs, steps, result_out, column)
+
+
+def _settled(metrics):
+    """Converged: the last superstep changed no vertex."""
+    return metrics.get("changed", -1) == 0
+
+
+def _changes(g, gather, reduce):
+    """``_fixed_point`` step for a reduce returning (state, #changed)."""
+    def step(refs, _):
+        refs, changed = _exchange(g, gather, reduce, refs)
+        return refs, {"changed": changed}
+    return step
+
+
+def _fold(arrays, ufunc=np.add):
+    """``ufunc`` folded over message arrays (sum by default), in
+    source-partition order, into a copy of the first."""
+    acc = arrays[0].copy()
+    for arr in arrays[1:]:
+        ufunc(acc, arr, out=acc)
+    return acc
+
+
+def _combine(ufunc):
+    """Reduce of an order-free combine (min / max): fold the incoming
+    messages into the old state; metric = #vertices changed."""
+    def reduce(old, *incoming):
+        new = _fold((old,) + incoming, ufunc)
+        changed = new != old
+        if changed.ndim > 1:
+            changed = changed.any(axis=1)
+        return new, int(changed.sum())
+    return reduce
+
+
+def _degree_gather(sizes):
+    """Gather counting, per vertex, its edges from alive sources."""
+    def gather(block, alive):
+        return _scatter(block, alive[block["src_local"]].astype(np.int64),
+                        sizes, np.add, 0, np.int64)
+    return gather
+
+
+def _copy_shards(refs):
+    """Driver-side private copies of shard arrays, put back as refs."""
+    return [ray.put(np.asarray(ray.get(r)).copy()) for r in refs]
+
+
+def _seed_shards(sizes, P, seeds, value, fill, dtype):
+    """Per-partition state arrays holding ``value`` at the seed vids."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    refs = []
+    for p in range(P):
+        shard = np.full(sizes[p], fill, dtype=dtype)
+        shard[seeds[seeds % P == p] // P] = value
+        refs.append(ray.put(shard))
+    return refs
+
+
+# ----------------------------------------------------------------------
+# Output
+# ----------------------------------------------------------------------
+def assemble(g: DistGraph, shard_refs):
+    """Shards -> one dense array indexed by global vid."""
+    out = np.zeros(g.n, dtype=np.asarray(ray.get(shard_refs[0])).dtype)
+    for p in range(g.P):
+        out[p::g.P] = ray.get(shard_refs[p])
+    return out
+
+
+def _write_shard(shard, p, P, out_dir, column):
     """Write one shard's (vid, value) parquet from the worker.
 
     Crash-safe + resumable: writes to a tmp name and ``os.replace``s
@@ -248,8 +294,9 @@ def write_shard_results(g: DistGraph, shard_refs, out_dir, column):
         with open(tmp, "w") as f:
             json.dump(expect, f)
         os.replace(tmp, manifest)
-    rows = ray.get([_write_shard_task.remote(
-        shard_refs[p], p, g.P, out_dir, column) for p in range(g.P)])
+    P = g.P
+    rows = ray.get(_map(_write_shard, shard_refs, range(P), [P] * P,
+                        [out_dir] * P, [column] * P))
     return int(sum(rows))
 
 
@@ -263,6 +310,119 @@ def _finish(g: DistGraph, shard_refs, iters, result_out, column):
         return assemble(g, shard_refs), iters
     rows = write_shard_results(g, shard_refs, result_out, column)
     return {"path": result_out, "rows": rows, "column": column}, iters
+
+
+# ----------------------------------------------------------------------
+# PageRank
+# ----------------------------------------------------------------------
+def pagerank(g: DistGraph, damping=0.85, tol=1e-6, max_iter=200,
+             weighted=False, checkpoint=None,
+             message_dtype=np.float64, active=False, personalize=None,
+             init_rank=None, result_out=None):
+    """North-rule semantics: rank = (1-d)/n + d*(sum_in rank/outdeg +
+    dangling_mass/n); iterate until L1 delta < tol. ``weighted`` uses
+    strength-normalised contributions instead of degree.
+    ``message_dtype=np.float32`` halves the bytes each superstep ships
+    through the object store (messages accumulate partition-locally in
+    float64 and downcast only for the exchange; rank state stays
+    float64) — for throughput probes and bandwidth-tight clusters, not
+    for 1e-6-oracle runs.
+
+    ``active=True``: the vertex set is the vertices with >= 1 edge
+    (per-partition masks from the graph itself), so sparse raw id
+    spaces — ``DistGraph.from_dataset`` without any driver-side id
+    compaction — get the same n/teleport/dangling denominators a
+    compacted build would; inactive ids hold rank 0.
+
+    ``personalize``: seed vids — teleport (and dangling
+    redistribution) becomes uniform over the seeds (personalized
+    PageRank) instead of uniform over the vertex set.
+
+    ``init_rank``: dense length-n warm-start vector (e.g. the ranks
+    of the graph before a delta-edge batch landed, or a prior run's
+    converged state). Iterating from it is bit-identical to having
+    reached that state in-run, so warm-starting a converged vector
+    after small graph updates re-converges in a handful of supersteps
+    instead of from scratch — the dynamic-recrawl path for a web-scale
+    link graph.
+
+    ``result_out=<dir>``: each shard writes its ``(vid, rank)``
+    parquet from its worker instead of the driver assembling an O(n)
+    array — returns ``({"path", "rows", "column"}, iters)``. The
+    at-scale output seam (all superstep kernels share it via
+    ``_finish``), mirroring ``DistLeiden.run(membership_out=)``."""
+    P, n, sizes = g.P, g.n, g.sizes
+    if active:
+        act_refs, n_eff = g.active_masks()
+    else:
+        act_refs, n_eff = [None] * P, n
+    if personalize is not None:
+        p_refs = _seed_shards(sizes, P, personalize,
+                              1.0 / len(personalize), 0.0, np.float64)
+    else:
+        p_refs = [None] * P
+
+    def gather(block, rank, norm):
+        src_contrib = np.zeros(len(rank))
+        nz = norm > 0
+        src_contrib[nz] = rank[nz] / norm[nz]
+        per_edge = src_contrib[block["src_local"]]
+        if weighted:
+            per_edge = per_edge * block["weight"]
+        return [a.astype(message_dtype, copy=False) for a in
+                _scatter(block, per_edge, sizes, np.add, 0.0, np.float64)]
+
+    def dangling_of(rank, norm, act):
+        m = norm <= 0 if act is None else (act & (norm <= 0))
+        return float(rank[m].sum())
+
+    def reduce(old, act, pvec, *rest):
+        # rest: the P per-partition dangling masses, then the messages
+        dangling_total = sum(rest[:P])
+        if pvec is None:
+            new = np.full(len(old), (1.0 - damping) / n_eff)
+            new += damping * dangling_total / n_eff
+        else:
+            new = (1.0 - damping + damping * dangling_total) * pvec
+        for arr in rest[P:]:
+            new += damping * arr
+        if act is not None:
+            new[~act] = 0.0
+        return new, float(np.abs(new - old).sum())
+
+    def init_shard(q_size, act, pvec, warm):
+        if warm is not None:
+            r = warm.astype(np.float64, copy=True)
+        elif pvec is None:
+            r = np.full(q_size, 1.0 / n_eff)
+        else:
+            r = pvec.copy()
+        if act is not None:
+            r[~act] = 0.0
+        return r
+
+    if init_rank is not None:
+        init_rank = np.asarray(init_rank, dtype=np.float64)
+        if len(init_rank) != g.n:
+            raise ValueError(
+                f"init_rank has length {len(init_rank)}, graph has "
+                f"n={g.n}")
+        warm_refs = [ray.put(init_rank[p::P]) for p in range(P)]
+    else:
+        warm_refs = [None] * P
+    norm_refs = g.out_strength if weighted else g.out_deg
+
+    def step(rank_refs, _):
+        dang = _map(dangling_of, rank_refs, norm_refs, act_refs)
+        rank_refs, delta = _exchange(
+            g, gather, reduce, rank_refs, (norm_refs,),
+            (act_refs, p_refs, *([d] * P for d in dang)))
+        return rank_refs, {"l1_delta": delta}
+
+    return _fixed_point(
+        g, "pagerank", _map(init_shard, sizes, act_refs, p_refs, warm_refs),
+        step, lambda m: m.get("l1_delta", np.inf) < tol, max_iter,
+        checkpoint, result_out, "rank")
 
 
 # ----------------------------------------------------------------------
@@ -282,26 +442,10 @@ def connected_components(g: DistGraph, max_iter=10_000, checkpoint=None,
     edges move, so re-convergence takes ~diameter-of-change
     supersteps, not diameter-of-graph."""
     P, n, sizes = g.P, g.n, g.sizes
-    BIG = np.iinfo(np.int64).max
 
-    @ray.remote
     def gather(block, label):
-        per_edge = label[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], BIG, dtype=np.int64)
-            np.minimum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
-    def reduce(old, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.minimum(new, arr, out=new)
-        return new, int((new != old).sum())
+        return _scatter(block, label[block["src_local"]], sizes,
+                        np.minimum, BIG, np.int64)
 
     if init_labels is not None:
         init_labels = np.asarray(init_labels, dtype=np.int64)
@@ -314,32 +458,10 @@ def connected_components(g: DistGraph, max_iter=10_000, checkpoint=None,
     else:
         label_refs = [ray.put(np.arange(p, n, P, dtype=np.int64))
                       for p in range(P)]
-    ckpt = CheckpointManager(checkpoint, "cc", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            label_refs = [ray.put(s) for s in shards]
-            if metrics.get("changed", -1) == 0:
-                return _finish(g, label_refs, start_iter, result_out,
-                               "component")
-    it = start_iter
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], label_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            label_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        label_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(label_refs),
-                      metrics={"changed": changed})
-        if changed == 0:
-            break
-    return _finish(g, label_refs, it + 1, result_out, "component")
+    return _fixed_point(g, "cc", label_refs,
+                        _changes(g, gather, _combine(np.minimum)),
+                        _settled, max_iter, checkpoint, result_out,
+                        "component")
 
 
 # ----------------------------------------------------------------------
@@ -354,63 +476,18 @@ def bfs_distances(g: DistGraph, sources, max_iter=10_000,
     destination partition, worker-to-worker message refs, the driver
     only sums per-partition change counts. Blocks must hold both
     directions for undirected semantics."""
-    P, n, sizes = g.P, g.n, g.sizes
-    INF = np.iinfo(np.int64).max
+    sizes = g.sizes
 
-    @ray.remote
     def gather(block, dist):
         # dist+1 per edge; saturating so INF stays INF
         d = dist[block["src_local"]]
-        per_edge = np.where(d == INF, INF, d + 1)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], INF, dtype=np.int64)
-            np.minimum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, np.where(d == BIG, BIG, d + 1), sizes,
+                        np.minimum, BIG, np.int64)
 
-    @ray.remote
-    def reduce(old, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.minimum(new, arr, out=new)
-        return new, int((new != old).sum())
-
-    sources = np.asarray(sources, dtype=np.int64)
-    dist_refs = []
-    for p in range(P):
-        shard = np.full(sizes[p], INF, dtype=np.int64)
-        sp = sources[sources % P == p]
-        shard[sp // P] = 0
-        dist_refs.append(ray.put(shard))
-    ckpt = CheckpointManager(checkpoint, "bfs", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            dist_refs = [ray.put(s) for s in shards]
-            if metrics.get("changed", -1) == 0:
-                return _finish(g, dist_refs, start_iter, result_out,
-                               "dist")
-    it = start_iter
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], dist_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            dist_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        dist_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(dist_refs),
-                      metrics={"changed": changed})
-        if changed == 0:
-            break
-    return _finish(g, dist_refs, it + 1, result_out, "dist")
+    return _fixed_point(g, "bfs",
+                        _seed_shards(sizes, g.P, sources, 0, BIG, np.int64),
+                        _changes(g, gather, _combine(np.minimum)),
+                        _settled, max_iter, checkpoint, result_out, "dist")
 
 
 # ----------------------------------------------------------------------
@@ -424,60 +501,17 @@ def sssp(g: DistGraph, sources, max_iter=10_000, checkpoint=None,
     with ``dist[src] + weight`` as the per-edge message; weights must
     be non-negative. Blocks must hold both directions for undirected
     semantics."""
-    P, n, sizes = g.P, g.n, g.sizes
+    sizes = g.sizes
 
-    @ray.remote
     def gather(block, dist):
-        per_edge = dist[block["src_local"]] + block["weight"]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], np.inf)
-            np.minimum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, dist[block["src_local"]] + block["weight"],
+                        sizes, np.minimum, np.inf, np.float64)
 
-    @ray.remote
-    def reduce(old, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.minimum(new, arr, out=new)
-        return new, int((new != old).sum())
-
-    sources = np.asarray(sources, dtype=np.int64)
-    dist_refs = []
-    for p in range(P):
-        shard = np.full(sizes[p], np.inf)
-        sp = sources[sources % P == p]
-        shard[sp // P] = 0.0
-        dist_refs.append(ray.put(shard))
-    ckpt = CheckpointManager(checkpoint, "sssp", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            dist_refs = [ray.put(s) for s in shards]
-            if metrics.get("changed", -1) == 0:
-                return _finish(g, dist_refs, start_iter, result_out,
-                               "dist")
-    it = start_iter
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], dist_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            dist_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        dist_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(dist_refs),
-                      metrics={"changed": changed})
-        if changed == 0:
-            break
-    return _finish(g, dist_refs, it + 1, result_out, "dist")
+    return _fixed_point(g, "sssp",
+                        _seed_shards(sizes, g.P, sources, 0.0, np.inf,
+                                     np.float64),
+                        _changes(g, gather, _combine(np.minimum)),
+                        _settled, max_iter, checkpoint, result_out, "dist")
 
 
 # ----------------------------------------------------------------------
@@ -502,30 +536,13 @@ def onion_layers(g: DistGraph, max_iter=10_000, result_out=None):
     "coreness": {...}}, rounds) with ``result_out``."""
     import os
 
-    P, n, sizes = g.P, g.n, g.sizes
-    BIG = np.iinfo(np.int64).max
+    P, sizes = g.P, g.sizes
 
-    @ray.remote
-    def gather(block, alive):
-        per_edge = alive[block["src_local"]].astype(np.int64)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q], dtype=np.int64)
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
     def local_min(alive, *incoming):
-        deg = incoming[0].copy()
-        for arr in incoming[1:]:
-            deg += arr
+        deg = _fold(incoming)
         m = int(deg[alive].min()) if alive.any() else BIG
         return deg, m
 
-    @ray.remote
     def peel(alive, layer, core, deg, k, rnd):
         rm = alive & (deg <= k)
         layer = layer.copy()
@@ -535,46 +552,29 @@ def onion_layers(g: DistGraph, max_iter=10_000, result_out=None):
         alive = alive & ~rm
         return alive, layer, core_out, int(alive.sum())
 
-    act_refs, _ = g.active_masks()
-    alive_refs = [ray.put(np.asarray(ray.get(act_refs[p])).copy())
-                  for p in range(P)]
-    layer_refs = [ray.put(np.zeros(sizes[p], np.int64))
-                  for p in range(P)]
-    core_refs = [ray.put(np.zeros(sizes[p], np.int64))
-                 for p in range(P)]
+    alive_refs = _copy_shards(g.active_masks()[0])
+    layer_refs = [ray.put(np.zeros(s, np.int64)) for s in sizes]
+    core_refs = [ray.put(np.zeros(s, np.int64)) for s in sizes]
     core_k = 0
     rounds = 0
     for rnd in range(1, max_iter + 1):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], alive_refs[p]) for p in range(P)]
-        dm = [local_min.options(num_returns=2).remote(
-            alive_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        deg_refs = [o[0] for o in dm]
-        mins = ray.get([o[1] for o in dm])
-        if min(mins) == BIG:
+        deg_refs, low = _exchange(g, _degree_gather(sizes), local_min,
+                                  alive_refs, metric=min)
+        if low == BIG:
             break
-        core_k = max(core_k, min(mins))
-        outs = [peel.options(num_returns=4).remote(
-            alive_refs[q], layer_refs[q], core_refs[q], deg_refs[q],
-            core_k, rnd) for q in range(P)]
-        alive_refs = [o[0] for o in outs]
-        layer_refs = [o[1] for o in outs]
-        core_refs = [o[2] for o in outs]
+        core_k = max(core_k, low)
+        alive_refs, layer_refs, core_refs, left = _map(
+            peel, alive_refs, layer_refs, core_refs, deg_refs,
+            [core_k] * P, [rnd] * P, num_returns=4)
         rounds = rnd
-        if sum(ray.get([o[3] for o in outs])) == 0:
+        if sum(ray.get(left)) == 0:
             break
     if result_out is None:
         return (assemble(g, layer_refs), assemble(g, core_refs)), rounds
-    lr = write_shard_results(g, layer_refs,
-                             os.path.join(result_out, "layer"), "layer")
-    cr = write_shard_results(g, core_refs,
-                             os.path.join(result_out, "coreness"),
-                             "coreness")
-    return ({"layer": {"path": os.path.join(result_out, "layer"),
-                       "rows": lr, "column": "layer"},
-             "coreness": {"path": os.path.join(result_out, "coreness"),
-                          "rows": cr, "column": "coreness"}}, rounds)
+    return ({col: _finish(g, refs, rounds, os.path.join(result_out, col),
+                          col)[0]
+             for col, refs in (("layer", layer_refs),
+                               ("coreness", core_refs))}, rounds)
 
 
 # ----------------------------------------------------------------------
@@ -593,46 +593,20 @@ def densest_subgraph(g: DistGraph, eps=0.0, max_iter=10_000):
     scalars plus P object refs for the best level's alive mask.
     Returns ({"density", "round", "n_vertices", "n_edges"},
     best_mask_refs, rounds) — the mask stays sharded."""
-    P, n, sizes = g.P, g.n, g.sizes
-
-    @ray.remote
-    def gather(block, alive):
-        per_edge = alive[block["src_local"]].astype(np.int64)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q], dtype=np.int64)
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
     def stats(alive, *incoming):
-        deg = incoming[0].copy()
-        for arr in incoming[1:]:
-            deg += arr
+        deg = _fold(incoming)
         return deg, int(alive.sum()), int(deg[alive].sum())
 
-    @ray.remote
-    def peel(alive, deg, thr):
-        return alive & (deg > thr)
-
-    act_refs, _ = g.active_masks()
-    alive_refs = [ray.put(np.asarray(ray.get(act_refs[p])).copy())
-                  for p in range(P)]
+    alive_refs = _copy_shards(g.active_masks()[0])
     best = {"density": 0.0, "round": -1, "n_vertices": 0,
             "n_edges": 0}
     best_refs = list(alive_refs)
     for rnd in range(max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], alive_refs[p]) for p in range(P)]
-        outs = [stats.options(num_returns=3).remote(
-            alive_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        deg_refs = [o[0] for o in outs]
-        v_r = sum(ray.get([o[1] for o in outs]))
-        e_r = sum(ray.get([o[2] for o in outs])) // 2
+        deg_refs, v_refs, e_refs = _exchange(
+            g, _degree_gather(g.sizes), stats, alive_refs, num_returns=3,
+            metric=None)
+        v_r = sum(ray.get(v_refs))
+        e_r = sum(ray.get(e_refs)) // 2
         if v_r == 0:
             return best, best_refs, rnd
         rho = e_r / v_r
@@ -641,8 +615,8 @@ def densest_subgraph(g: DistGraph, eps=0.0, max_iter=10_000):
                     "n_edges": e_r}
             best_refs = list(alive_refs)
         thr = 2.0 * (1.0 + eps) * rho
-        alive_refs = [peel.remote(alive_refs[q], deg_refs[q], thr)
-                      for q in range(P)]
+        alive_refs = _map(lambda alive, deg: alive & (deg > thr),
+                          alive_refs, deg_refs)
     raise RuntimeError("densest_subgraph did not terminate in "
                        f"{max_iter} rounds")
 
@@ -660,61 +634,23 @@ def dag_longest_path(g: DistGraph, max_iter=10_000, checkpoint=None,
     raises when ``max_iter`` is exhausted — feed it the SCC
     condensation of a cyclic graph. Blocks must hold the FORWARD
     direction only (``directed=True``)."""
-    P, n, sizes = g.P, g.n, g.sizes
+    sizes = g.sizes
 
-    @ray.remote
     def gather(block, depth):
-        per_edge = depth[block["src_local"]] + np.int64(1)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], -1, np.int64)
-            np.maximum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, depth[block["src_local"]] + np.int64(1),
+                        sizes, np.maximum, -1, np.int64)
 
-    @ray.remote
-    def reduce(old, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.maximum(new, arr, out=new)
-        return new, int((new != old).sum())
-
-    depth_refs = [ray.put(np.zeros(sizes[p], np.int64))
-                  for p in range(P)]
-    ckpt = CheckpointManager(checkpoint, "dag_longest_path", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            depth_refs = [ray.put(s) for s in shards]
-            if metrics.get("changed", -1) == 0:
-                return _finish(g, depth_refs, start_iter, result_out,
-                               "depth")
-    changed = -1
-    it = start_iter
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], depth_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            depth_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        depth_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(depth_refs),
-                      metrics={"changed": changed})
-        if changed == 0:
-            break
-    if changed != 0:
+    depth_refs, steps, metrics = _fixed_point(
+        g, "dag_longest_path",
+        [ray.put(np.zeros(s, np.int64)) for s in sizes],
+        _changes(g, gather, _combine(np.maximum)), _settled, max_iter,
+        checkpoint, None, None)
+    if not _settled(metrics):
         raise RuntimeError(
             "dag_longest_path did not converge in %d supersteps — "
             "the input graph has a cycle (run scc + condense first)"
             % max_iter)
-    return _finish(g, depth_refs, it + 1, result_out, "depth")
+    return _finish(g, depth_refs, steps, result_out, "depth")
 
 
 # ----------------------------------------------------------------------
@@ -761,58 +697,18 @@ def _kcore_shards(g: DistGraph, k, alive_refs=None, max_iter=10_000,
     """Shard-level peel loop: takes/returns per-partition bool mask
     refs so callers (``kcore``, ``coreness``) can compose levels
     without ever assembling an O(n) array on the driver."""
-    P, n, sizes = g.P, g.n, g.sizes
-
-    @ray.remote
-    def gather(block, alive):
-        per_edge = alive[block["src_local"]].astype(np.int64)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q], dtype=np.int64)
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
     def reduce(old, *incoming):
-        deg = incoming[0].copy()
-        for arr in incoming[1:]:
-            deg += arr
-        new = old & (deg >= k)
+        new = old & (_fold(incoming) >= k)
         return new, int((new != old).sum())
 
     # default start: the active vertex set (vertices with >= 1 edge)
     if alive_refs is None:
-        act_refs, _ = g.active_masks()
-        alive_refs = [ray.put(np.asarray(ray.get(act_refs[p])).copy())
-                      for p in range(P)]
-    ckpt = CheckpointManager(checkpoint, f"kcore{k}", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            alive_refs = [ray.put(s) for s in shards]
-            if metrics.get("changed", -1) == 0:
-                return alive_refs, start_iter
-    it = start_iter
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], alive_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            alive_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        alive_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(alive_refs),
-                      metrics={"changed": changed})
-        if changed == 0:
-            break
-    return alive_refs, it + 1
+        alive_refs = _copy_shards(g.active_masks()[0])
+    alive_refs, steps, _ = _fixed_point(
+        g, f"kcore{k}", alive_refs,
+        _changes(g, _degree_gather(g.sizes), reduce), _settled,
+        max_iter, checkpoint, None, None)
+    return alive_refs, steps
 
 
 def coreness(g: DistGraph, levels, max_iter=10_000, checkpoint=None,
@@ -826,46 +722,66 @@ def coreness(g: DistGraph, levels, max_iter=10_000, checkpoint=None,
     driver holds only per-level alive counts, never an O(n) array
     (the decomposition twin of ``q_coreness_co``'s semantics with the
     driver-side level loop pushed onto the shards)."""
-    P = g.P
     act_refs, _ = g.active_masks()
 
-    @ray.remote
-    def init_core(act):
-        return np.where(np.asarray(act), np.int64(1), np.int64(0))
-
-    @ray.remote
-    def to_bool(act):
-        return np.asarray(act, dtype=bool).copy()
-
-    @ray.remote
     def bump(core, alive, k):
         new = core.copy()
         new[alive] = k
         return new
 
-    @ray.remote
-    def count_alive(alive):
-        return int(alive.sum())
-
-    core_refs = [init_core.remote(act_refs[p]) for p in range(P)]
-    alive_refs = [to_bool.remote(act_refs[p]) for p in range(P)]
+    core_refs = _map(lambda act: np.where(np.asarray(act), np.int64(1),
+                                          np.int64(0)), act_refs)
+    alive_refs = _map(lambda act: np.asarray(act, dtype=bool).copy(),
+                      act_refs)
     total_iters = 0
     for k in levels:
         alive_refs, iters = _kcore_shards(g, int(k), alive_refs,
                                           max_iter, checkpoint)
         total_iters += iters
-        n_alive = sum(ray.get([count_alive.remote(a)
-                               for a in alive_refs]))
+        n_alive = sum(ray.get(_map(lambda a: int(a.sum()), alive_refs)))
         if n_alive == 0:
             break
-        core_refs = [bump.remote(core_refs[p], alive_refs[p], int(k))
-                     for p in range(P)]
+        core_refs = _map(bump, core_refs, alive_refs, [int(k)] * g.P)
     return _finish(g, core_refs, total_iters, result_out, "coreness")
 
 
 # ----------------------------------------------------------------------
-# HITS: hubs & authorities, simultaneous (Jacobi) update, L1 normalise
+# Linear fixed-iteration kernels: HITS / SALSA, Katz, eigenvector
 # ----------------------------------------------------------------------
+def _linear_gather(sizes, weighted=False):
+    """Gather pushing ``x[src]`` (times the edge weight) along edges."""
+    def gather(block, x, deg=None):
+        per_edge = x[block["src_local"]]
+        if deg is not None:
+            # deg[src_local] >= 1: a vertex with no edge in this
+            # orientation never appears as a sender here
+            per_edge = per_edge / deg[block["src_local"]]
+        if weighted:
+            per_edge = per_edge * block["weight"]
+        return _scatter(block, per_edge, sizes, np.add, 0.0, np.float64)
+    return gather
+
+
+def _masked_total(_, act, *incoming):
+    """Reduce: summed messages, zero off the vertex set; metric = sum."""
+    tot = _fold(incoming)
+    tot[~act] = 0.0
+    return tot, float(tot.sum())
+
+
+def _scale(arr, s):
+    return arr / s if s > 0 else arr
+
+
+def _uniform_on(act_refs, value):
+    """Per-partition float state: ``value`` on the mask, 0 elsewhere."""
+    def init(act):
+        x = np.zeros(len(act))
+        x[act] = value
+        return x
+    return _map(init, act_refs)
+
+
 def hits(g: DistGraph, g_rev: DistGraph, iters=20, result_out=None,
          degree_normalized=False):
     """Fixed-iteration HITS on a directed graph. Per iteration, from
@@ -889,8 +805,8 @@ def hits(g: DistGraph, g_rev: DistGraph, iters=20, result_out=None,
     stochastic SALSA chains instead of the unnormalised HITS matrices.
     The sender degrees are the build's existing per-partition
     out-degree shards; no extra task or exchange."""
-    P, n, sizes = g.P, g.n, g.sizes
-    assert g_rev.P == P and g_rev.n == n
+    P = g.P
+    assert g_rev.P == P and g_rev.n == g.n
 
     if degree_normalized:
         # the build already holds per-partition out-degree shards
@@ -898,93 +814,43 @@ def hits(g: DistGraph, g_rev: DistGraph, iters=20, result_out=None,
         fwd_deg, rev_deg = g.out_deg, g_rev.out_deg
     else:
         fwd_deg = rev_deg = [None] * P
+    gather = _linear_gather(g.sizes)
 
-    @ray.remote
-    def gather(block, state, deg):
-        per_edge = state[block["src_local"]]
-        if deg is not None:
-            # deg[src_local] >= 1: a vertex with no edge in this
-            # orientation never appears as a sender here
-            per_edge = per_edge / deg[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q])
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote(num_returns=2)
-    def combine(act, *incoming):
-        tot = incoming[0].copy()
-        for arr in incoming[1:]:
-            tot += arr
-        tot[~act] = 0.0
-        return tot, float(tot.sum())
-
-    @ray.remote
-    def scale(arr, s):
-        return arr / s if s > 0 else arr
-
-    # vertex set: active in either orientation
-    fwd_masks, _ = g.active_masks()
-    rev_masks, _ = g_rev.active_masks()
-
-    @ray.remote(num_returns=2)
-    def union_mask(a, b):
+    def union(a, b):
         m = a | b
         return m, int(m.sum())
 
-    res = [union_mask.remote(fwd_masks[p], rev_masks[p])
-           for p in range(P)]
-    act_refs = [r[0] for r in res]
-    n_act = int(sum(ray.get([r[1] for r in res])))
+    # vertex set: active in either orientation
+    act_refs, counts = _map(union, g.active_masks()[0],
+                            g_rev.active_masks()[0], num_returns=2)
+    n_act = int(sum(ray.get(counts)))
 
-    @ray.remote
-    def init_shard(act):
-        v = np.zeros(len(act))
-        v[act] = 1.0 / n_act
-        return v
-
-    hub_refs = [init_shard.remote(act_refs[p]) for p in range(P)]
-    auth_refs = [init_shard.remote(act_refs[p]) for p in range(P)]
-
+    hub_refs = _uniform_on(act_refs, 1.0 / n_act)
+    auth_refs = _uniform_on(act_refs, 1.0 / n_act)
     for _ in range(iters):
-        # authority_raw <- forward edges carrying OLD hub
-        a_msgs = [gather.options(num_returns=P).remote(
-            g.blocks[p], hub_refs[p], fwd_deg[p]) for p in range(P)]
+        # authority_raw <- forward edges carrying OLD hub;
         # hub_raw <- reversed edges carrying OLD authority
-        h_msgs = [gather.options(num_returns=P).remote(
-            g_rev.blocks[p], auth_refs[p], rev_deg[p]) for p in range(P)]
-        a_out = [combine.remote(act_refs[q],
-                                *[a_msgs[p][q] for p in range(P)])
-                 for q in range(P)]
-        h_out = [combine.remote(act_refs[q],
-                                *[h_msgs[p][q] for p in range(P)])
-                 for q in range(P)]
-        a_tot = sum(ray.get([o[1] for o in a_out]))
-        h_tot = sum(ray.get([o[1] for o in h_out]))
-        auth_refs = [scale.remote(a_out[q][0], a_tot) for q in range(P)]
-        hub_refs = [scale.remote(h_out[q][0], h_tot) for q in range(P)]
+        a_out, a_tot = _exchange(g, gather, _masked_total, hub_refs,
+                                 (fwd_deg,), (act_refs,), metric=None)
+        h_out, h_tot = _exchange(g_rev, gather, _masked_total, auth_refs,
+                                 (rev_deg,), (act_refs,), metric=None)
+        a_tot = sum(ray.get(a_tot))
+        h_tot = sum(ray.get(h_tot))
+        auth_refs = _map(_scale, a_out, [a_tot] * P)
+        hub_refs = _map(_scale, h_out, [h_tot] * P)
 
     if result_out is not None:
         # shard-side (vid, hub)/(vid, authority) parquet under
         # <dir>/hub and <dir>/authority; the per-shard active masks
         # are never assembled either
         import os
-        hub_dir = os.path.join(result_out, "hub")
-        auth_dir = os.path.join(result_out, "authority")
-        hub_rows = write_shard_results(g, hub_refs, hub_dir, "hub")
-        auth_rows = write_shard_results(g, auth_refs, auth_dir,
-                                        "authority")
-        return ({"path": hub_dir, "rows": hub_rows, "column": "hub"},
-                {"path": auth_dir, "rows": auth_rows,
-                 "column": "authority"}, None)
-    act = np.zeros(n, dtype=bool)
-    for p in range(P):
-        act[p::P] = ray.get(act_refs[p])
-    return assemble(g, hub_refs), assemble(g, auth_refs), act
+        return (_finish(g, hub_refs, None, os.path.join(result_out, "hub"),
+                        "hub")[0],
+                _finish(g, auth_refs, None,
+                        os.path.join(result_out, "authority"),
+                        "authority")[0], None)
+    return (assemble(g, hub_refs), assemble(g, auth_refs),
+            assemble(g, act_refs))
 
 
 def salsa(g: DistGraph, g_rev: DistGraph, iters=20, result_out=None):
@@ -997,9 +863,6 @@ def salsa(g: DistGraph, g_rev: DistGraph, iters=20, result_out=None):
                 degree_normalized=True)
 
 
-# ----------------------------------------------------------------------
-# Katz centrality: fixed-iteration Jacobi update
-# ----------------------------------------------------------------------
 def katz(g: DistGraph, alpha=0.005, beta=1.0, iters=20,
          weighted=False, result_out=None):
     """Katz centrality, simultaneous (Jacobi) update from the OLD
@@ -1010,55 +873,22 @@ def katz(g: DistGraph, alpha=0.005, beta=1.0, iters=20,
     alpha < 1/lambda_max. Same exchange shape as ``pagerank``:
     per-block destination-partition pre-aggregation, worker-to-worker
     message refs, no driver-side per-edge work."""
-    P, n, sizes = g.P, g.n, g.sizes
-
-    @ray.remote
-    def gather(block, x):
-        per_edge = x[block["src_local"]]
-        if weighted:
-            per_edge = per_edge * block["weight"]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q])
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
-    def reduce(act, *incoming):
-        tot = incoming[0].copy()
-        for arr in incoming[1:]:
-            tot += arr
-        new = beta + alpha * tot
+    def reduce(_, act, *incoming):
+        new = beta + alpha * _fold(incoming)
         new[~act] = 0.0
         return new
 
     act_refs, _ = g.active_masks()
-
-    @ray.remote
-    def init_shard(act):
-        x = np.zeros(len(act))
-        x[act] = beta
-        return x
-
-    x_refs = [init_shard.remote(act_refs[p]) for p in range(P)]
+    gather = _linear_gather(g.sizes, weighted)
+    x_refs = _uniform_on(act_refs, beta)
     for _ in range(iters):
-        msg = [gather.options(num_returns=P).remote(
-            g.blocks[p], x_refs[p]) for p in range(P)]
-        x_refs = [reduce.remote(act_refs[q],
-                                *[msg[p][q] for p in range(P)])
-                  for q in range(P)]
+        x_refs = _exchange(g, gather, reduce, x_refs,
+                           reduce_args=(act_refs,), num_returns=1)
     if result_out is not None:
-        rows = write_shard_results(g, x_refs, result_out, "katz")
-        return {"path": result_out, "rows": rows, "column": "katz"}
+        return _finish(g, x_refs, None, result_out, "katz")[0]
     return assemble(g, x_refs)
 
 
-# ----------------------------------------------------------------------
-# Eigenvector centrality: power iteration, L1 normalise per step
-# ----------------------------------------------------------------------
 def eigenvector_centrality(g: DistGraph, iters=20, weighted=False,
                            result_out=None):
     """Power iteration on the (weighted) adjacency operator with L1
@@ -1066,60 +896,16 @@ def eigenvector_centrality(g: DistGraph, iters=20, weighted=False,
     the active vertex set. Fixed ``iters`` so the SQL oracle can
     reproduce it exactly; blocks must hold both directions for
     undirected semantics. Returns (x, active_mask)."""
-    P, n, sizes = g.P, g.n, g.sizes
-
-    @ray.remote
-    def gather(block, x):
-        per_edge = x[block["src_local"]]
-        if weighted:
-            per_edge = per_edge * block["weight"]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q])
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote(num_returns=2)
-    def combine(act, *incoming):
-        tot = incoming[0].copy()
-        for arr in incoming[1:]:
-            tot += arr
-        tot[~act] = 0.0
-        return tot, float(tot.sum())
-
-    @ray.remote
-    def scale(arr, s):
-        return arr / s if s > 0 else arr
-
     act_refs, n_act = g.active_masks()
-
-    @ray.remote
-    def init_shard(act):
-        x = np.zeros(len(act))
-        x[act] = 1.0 / n_act
-        return x
-
-    x_refs = [init_shard.remote(act_refs[p]) for p in range(P)]
+    gather = _linear_gather(g.sizes, weighted)
+    x_refs = _uniform_on(act_refs, 1.0 / n_act)
     for _ in range(iters):
-        msg = [gather.options(num_returns=P).remote(
-            g.blocks[p], x_refs[p]) for p in range(P)]
-        outs = [combine.remote(act_refs[q],
-                               *[msg[p][q] for p in range(P)])
-                for q in range(P)]
-        tot = sum(ray.get([o[1] for o in outs]))
-        x_refs = [scale.remote(outs[q][0], tot) for q in range(P)]
+        out, tot = _exchange(g, gather, _masked_total, x_refs,
+                             reduce_args=(act_refs,))
+        x_refs = _map(_scale, out, [tot] * g.P)
     if result_out is not None:
-        rows = write_shard_results(g, x_refs, result_out,
-                                   "eigenvector")
-        return ({"path": result_out, "rows": rows,
-                 "column": "eigenvector"}, None)
-    act = np.zeros(n, dtype=bool)
-    for p in range(P):
-        act[p::P] = ray.get(act_refs[p])
-    return assemble(g, x_refs), act
+        return _finish(g, x_refs, None, result_out, "eigenvector")[0], None
+    return assemble(g, x_refs), g.active_global()
 
 
 # ----------------------------------------------------------------------
@@ -1138,19 +924,9 @@ def wl_refinement(g: DistGraph, iters=2):
     (strings, so ~33 bytes/edge/round — WL is a fingerprint pass, not
     a hot kernel); the md5 loop runs inside the partition task.
     Returns (labels '<U32' over vids, active mask)."""
-    P, n, sizes = g.P, g.n, g.sizes
-
-    @ray.remote
     def gather(block, lab):
-        per_edge = lab[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            outs.append((block["dst_local"][sl], per_edge[sl]))
-        return outs
+        return _by_dest(block, lab[block["src_local"]])
 
-    @ray.remote
     def reduce(own, *incoming):
         import hashlib
         dl = np.concatenate([x[0] for x in incoming])
@@ -1166,115 +942,76 @@ def wl_refinement(g: DistGraph, iters=2):
             out[i] = hashlib.md5(s.encode()).hexdigest()
         return out
 
-    @ray.remote
-    def deg_str(d):
-        return d.astype(np.int64).astype("<U20").astype("<U32")
-
     # degree over the stored (both-direction) blocks
-    lab_refs = [deg_str.remote(g.out_deg[p]) for p in range(P)]
+    lab_refs = _map(lambda d: d.astype(np.int64).astype("<U20")
+                    .astype("<U32"), g.out_deg)
     for _ in range(iters):
-        msg = [gather.options(num_returns=P).remote(
-            g.blocks[p], lab_refs[p]) for p in range(P)]
-        lab_refs = [reduce.remote(lab_refs[q],
-                                  *[msg[p][q] for p in range(P)])
-                    for q in range(P)]
-    shards = ray.get(lab_refs)
-    out = np.empty(n, dtype="<U32")
-    for p in range(P):
-        out[p::P] = shards[p]
-    return out, g.active_global()
+        lab_refs = _exchange(g, gather, reduce, lab_refs, num_returns=1)
+    return assemble(g, lab_refs), g.active_global()
 
 
 # ----------------------------------------------------------------------
 # Label propagation: plurality label of neighbours, ties -> lowest label
 # ----------------------------------------------------------------------
+def _label_sums(dl, lb, w, base):
+    """Per-(dst, label) weight sums as (dst, label, weight) arrays;
+    ``base`` exceeds every label (pair key ``dst * base + label``)."""
+    if len(dl) == 0:
+        return (np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0))
+    key = dl * base + lb
+    uniq, inv = np.unique(key, return_inverse=True)
+    ws = np.zeros(len(uniq))
+    np.add.at(ws, inv, w)
+    return ((uniq // base).astype(np.int64),
+            (uniq % base).astype(np.int64), ws)
+
+
+def _plurality(old, incoming, base):
+    """``old`` with every destination that got a message set to its
+    heaviest incoming label (ties -> lowest label)."""
+    new = old.copy()
+    dl = np.concatenate([x[0] for x in incoming])
+    if len(dl):
+        d, l, tot = _label_sums(
+            dl, np.concatenate([x[1] for x in incoming]),
+            np.concatenate([x[2] for x in incoming]), base)
+        # argmax weight per dst, ties -> lowest label: sort by
+        # (dst, -weight, label) and take the first row per dst
+        order = np.lexsort((l, -tot, d))
+        d_s, l_s = d[order], l[order]
+        first = np.ones(len(d_s), dtype=bool)
+        first[1:] = d_s[1:] != d_s[:-1]
+        new[d_s[first]] = l_s[first]
+    return new
+
+
 def label_propagation(g: DistGraph, max_iter=100, weighted=True,
                       checkpoint=None, result_out=None):
     """Synchronous supersteps; each vertex adopts the neighbour label
     with the highest total edge weight (ties: lowest label); vertices
     with no neighbours keep their label. Fixed point or max_iter.
     Blocks must hold both directions for undirected semantics."""
-    P, n, sizes = g.P, g.n, g.sizes
+    P, n = g.P, g.n
 
-    @ray.remote
     def gather(block, label):
-        per_edge_label = label[block["src_local"]]
-        w = block["weight"] if weighted else np.ones(len(per_edge_label))
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            dl = block["dst_local"][sl]
-            lb = per_edge_label[sl]
-            ww = w[sl]
-            # per-(dst,label) partial weight sums inside the task
-            if len(dl) == 0:
-                outs.append((np.empty(0, np.int64), np.empty(0, np.int64),
-                             np.empty(0)))
-                continue
-            key = dl * (n + 1) + lb
-            uniq, inv = np.unique(key, return_inverse=True)
-            ws = np.zeros(len(uniq))
-            np.add.at(ws, inv, ww)
-            outs.append(((uniq // (n + 1)).astype(np.int64),
-                         (uniq % (n + 1)).astype(np.int64), ws))
-        return outs
+        # per-(dst,label) partial weight sums inside the task
+        lab = label[block["src_local"]]
+        w = block["weight"] if weighted else np.ones(len(lab))
+        return [_label_sums(dl, lb, ww, n + 1)
+                for dl, lb, ww in _by_dest(block, lab, w)]
 
-    @ray.remote
     def reduce(old, *incoming):
-        dl = np.concatenate([x[0] for x in incoming])
-        lb = np.concatenate([x[1] for x in incoming])
-        ws = np.concatenate([x[2] for x in incoming])
-        new = old.copy()
-        if len(dl):
-            key = dl * (n + 1) + lb
-            uniq, inv = np.unique(key, return_inverse=True)
-            tot = np.zeros(len(uniq))
-            np.add.at(tot, inv, ws)
-            d = (uniq // (n + 1)).astype(np.int64)
-            l = (uniq % (n + 1)).astype(np.int64)
-            # argmax weight per dst, ties -> lowest label: sort by
-            # (dst, -weight, label) and take the first row per dst
-            order = np.lexsort((l, -tot, d))
-            d_s, l_s = d[order], l[order]
-            first = np.ones(len(d_s), dtype=bool)
-            first[1:] = d_s[1:] != d_s[:-1]
-            new[d_s[first]] = l_s[first]
+        new = _plurality(old, incoming, n + 1)
         return new, int((new != old).sum())
 
     label_refs = [ray.put(np.arange(p, n, P, dtype=np.int64))
                   for p in range(P)]
-    ckpt = CheckpointManager(checkpoint, "labelprop", P, n=n) \
-        if checkpoint else None
-    start_iter = 0
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            start_iter, shards, metrics = resumed
-            label_refs = [ray.put(s) for s in shards]
-            if metrics.get("changed", -1) == 0:
-                return _finish(g, label_refs, start_iter, result_out,
-                               "label")
-    it = start_iter
-    for it in range(start_iter, max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], label_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            label_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        label_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if ckpt is not None:
-            ckpt.save(it + 1, ray.get(label_refs),
-                      metrics={"changed": changed})
-        if changed == 0:
-            break
-    return _finish(g, label_refs, it + 1, result_out, "label")
+    return _fixed_point(g, "labelprop", label_refs,
+                        _changes(g, gather, reduce), _settled, max_iter,
+                        checkpoint, result_out, "label")
 
 
-# ----------------------------------------------------------------------
-# Seeded (semi-supervised) label propagation
-# ----------------------------------------------------------------------
 def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
                              iters=10, weighted=True, result_out=None):
     """Semi-supervised label spreading (the distributed analogue of
@@ -1294,50 +1031,15 @@ def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
     # may exceed n
     L = int(max(n, seed_labels.max(initial=0) + 1, 2))
 
-    @ray.remote
     def gather(block, label):
         lab = label[block["src_local"]]
         keep = lab >= 0
-        w = (block["weight"] if weighted
-             else np.ones(len(lab)))
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            m = keep[sl]
-            dl = block["dst_local"][sl][m]
-            lb = lab[sl][m]
-            ww = w[sl][m]
-            if len(dl) == 0:
-                outs.append((np.empty(0, np.int64),
-                             np.empty(0, np.int64), np.empty(0)))
-                continue
-            key = dl * L + lb
-            uniq, inv = np.unique(key, return_inverse=True)
-            ws = np.zeros(len(uniq))
-            np.add.at(ws, inv, ww)
-            outs.append(((uniq // L).astype(np.int64),
-                         (uniq % L).astype(np.int64), ws))
-        return outs
+        w = block["weight"] if weighted else np.ones(len(lab))
+        return [_label_sums(dl, lb, ww, L) for dl, lb, ww in
+                _by_dest(_select(block, keep), lab[keep], w[keep])]
 
-    @ray.remote
     def reduce(old, fixed, *incoming):
-        dl = np.concatenate([x[0] for x in incoming])
-        lb = np.concatenate([x[1] for x in incoming])
-        ws = np.concatenate([x[2] for x in incoming])
-        new = old.copy()
-        if len(dl):
-            key = dl * L + lb
-            uniq, inv = np.unique(key, return_inverse=True)
-            tot = np.zeros(len(uniq))
-            np.add.at(tot, inv, ws)
-            d = (uniq // L).astype(np.int64)
-            l = (uniq % L).astype(np.int64)
-            order = np.lexsort((l, -tot, d))
-            d_s, l_s = d[order], l[order]
-            first = np.ones(len(d_s), dtype=bool)
-            first[1:] = d_s[1:] != d_s[:-1]
-            new[d_s[first]] = l_s[first]
+        new = _plurality(old, incoming, L)
         new[fixed] = old[fixed]
         return new
 
@@ -1351,14 +1053,10 @@ def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
         label_refs.append(ray.put(lab))
         fixed_refs.append(ray.put(fx))
     for _ in range(iters):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], label_refs[p]) for p in range(P)]
-        label_refs = [reduce.remote(label_refs[q], fixed_refs[q],
-                                    *[msg_refs[p][q] for p in range(P)])
-                      for q in range(P)]
+        label_refs = _exchange(g, gather, reduce, label_refs,
+                               reduce_args=(fixed_refs,), num_returns=1)
     if result_out is not None:
-        rows = write_shard_results(g, label_refs, result_out, "label")
-        return {"path": result_out, "rows": rows, "column": "label"}
+        return _finish(g, label_refs, None, result_out, "label")[0]
     return assemble(g, label_refs)
 
 
@@ -1394,51 +1092,28 @@ def scc(g_fwd: DistGraph, g_bwd: DistGraph, max_rounds=1_000,
     """
     P, n, sizes = g_fwd.P, g_fwd.n, g_fwd.sizes
     assert g_bwd.P == P and g_bwd.n == n
-    BIG = np.iinfo(np.int64).max
+    parts = range(P)
 
-    @ray.remote
     def fgather(block, F):
-        per_edge = F[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], BIG, dtype=np.int64)
-            np.minimum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, F[block["src_local"]], sizes, np.minimum,
+                        BIG, np.int64)
 
-    @ray.remote
     def freduce(old, assigned, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.minimum(new, arr, out=new)
+        new = _fold((old,) + incoming, np.minimum)
         new[assigned] = BIG
         return new, int((new != old).sum())
 
-    @ray.remote
     def bgather(block, m):
-        per_edge = m[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], -1, dtype=np.int64)
-            np.maximum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, m[block["src_local"]], sizes, np.maximum,
+                        -1, np.int64)
 
-    @ray.remote
     def breduce(m_old, F, *incoming):
-        mx = np.full(len(m_old), -1, dtype=np.int64)
-        for arr in incoming:
-            np.maximum(mx, arr, out=mx)
-        hit = (m_old == -1) & (F != BIG) & (mx == F)
+        hit = (m_old == -1) & (F != BIG) \
+            & (_fold(incoming, np.maximum) == F)
         new = m_old.copy()
         new[hit] = F[hit]
         return new, int(hit.sum())
 
-    @ray.remote(num_returns=2)
     def init_scc(act, p):
         vids = np.arange(p, n, P, dtype=np.int64)
         # inactive vertices are their own singleton (filtered by
@@ -1447,62 +1122,44 @@ def scc(g_fwd: DistGraph, g_bwd: DistGraph, max_rounds=1_000,
         s = np.where(np.asarray(act), np.int64(-1), vids)
         return s, int((s < 0).sum())
 
-    @ray.remote(num_returns=2)
     def round_state(scc_q, p):
         vids = np.arange(p, n, P, dtype=np.int64)
         return scc_q >= 0, np.where(scc_q < 0, vids, BIG)
 
-    @ray.remote
     def mk_marks(F_q, scc_q, p):
         vids = np.arange(p, n, P, dtype=np.int64)
         return np.where((F_q == vids) & (scc_q < 0), F_q,
                         np.int64(-1))
 
-    @ray.remote(num_returns=2)
     def apply_marks(scc_q, m_q):
         newly = m_q >= 0
         new = scc_q.copy()
         new[newly] = m_q[newly]
         return new, int((new < 0).sum())
 
-    act_masks, _ = g_fwd.active_masks()
-    res = [init_scc.remote(act_masks[p], p) for p in range(P)]
-    scc_refs = [r[0] for r in res]
-    unassigned = sum(ray.get([r[1] for r in res]))
+    scc_refs, counts = _map(init_scc, g_fwd.active_masks()[0], parts,
+                            num_returns=2)
+    unassigned = sum(ray.get(counts))
     steps = 0
     for _round in range(max_rounds):
         if unassigned == 0:
             break
-        st = [round_state.options(num_returns=2).remote(
-            scc_refs[p], p) for p in range(P)]
-        assigned_refs = [s[0] for s in st]
-        F_refs = [s[1] for s in st]
-        while True:
-            msg = [fgather.options(num_returns=P).remote(
-                g_fwd.blocks[p], F_refs[p]) for p in range(P)]
-            outs = [freduce.options(num_returns=2).remote(
-                F_refs[q], assigned_refs[q],
-                *[msg[p][q] for p in range(P)]) for q in range(P)]
-            F_refs = [o[0] for o in outs]
+        assigned_refs, F_refs = _map(round_state, scc_refs, parts,
+                                     num_returns=2)
+        changed = None
+        while changed != 0:
+            F_refs, changed = _exchange(g_fwd, fgather, freduce, F_refs,
+                                        reduce_args=(assigned_refs,))
             steps += 1
-            if sum(ray.get([o[1] for o in outs])) == 0:
-                break
-        m_refs = [mk_marks.remote(F_refs[p], scc_refs[p], p)
-                  for p in range(P)]
-        while True:
-            msg = [bgather.options(num_returns=P).remote(
-                g_bwd.blocks[p], m_refs[p]) for p in range(P)]
-            outs = [breduce.options(num_returns=2).remote(
-                m_refs[q], F_refs[q],
-                *[msg[p][q] for p in range(P)]) for q in range(P)]
-            m_refs = [o[0] for o in outs]
+        m_refs = _map(mk_marks, F_refs, scc_refs, parts)
+        changed = None
+        while changed != 0:
+            m_refs, changed = _exchange(g_bwd, bgather, breduce, m_refs,
+                                        reduce_args=(F_refs,))
             steps += 1
-            if sum(ray.get([o[1] for o in outs])) == 0:
-                break
-        outs = [apply_marks.options(num_returns=2).remote(
-            scc_refs[p], m_refs[p]) for p in range(P)]
-        scc_refs = [o[0] for o in outs]
-        unassigned = sum(ray.get([o[1] for o in outs]))
+        scc_refs, counts = _map(apply_marks, scc_refs, m_refs,
+                                num_returns=2)
+        unassigned = sum(ray.get(counts))
     return _finish(g_fwd, scc_refs, steps, result_out, "scc")
 
 
@@ -1528,15 +1185,54 @@ def _block_csr_view(block, P, size_p):
     destinations sorted ascending (lexsort) so membership tests can
     binary-search a run."""
     src = block["src_local"]
-    off = block["dst_offsets"]
-    dstg = np.empty(len(src), dtype=np.int64)
-    for q in range(P):
-        sl = slice(int(off[q]), int(off[q + 1]))
-        dstg[sl] = block["dst_local"][sl] * P + q
+    dstg = np.concatenate([dl * P + q
+                           for q, (dl,) in enumerate(_by_dest(block))])
     order = np.lexsort((dstg, src))
     ss_, dg = src[order], dstg[order]
     starts = np.searchsorted(ss_, np.arange(size_p + 1))
     return starts, dg, ss_
+
+
+def _walk_frontier(P, step_fn, adj_refs, wids, cur, *extra):
+    """One walk step: each partition advances the walks standing on
+    its vertices; -1 marks a dead end."""
+    parts = (cur % P).astype(np.int64)
+    nxt = np.full(len(wids), -1, dtype=np.int64)
+    launch = _tasks(step_fn)
+    futs = {}
+    for p in range(P):
+        idx = np.flatnonzero(parts == p)
+        if len(idx):
+            futs[p] = (idx, launch(adj_refs[p], wids[idx], cur[idx],
+                                   *extra))
+    for p, (idx, f) in futs.items():
+        nxt[idx] = ray.get(f)
+    return nxt
+
+
+
+
+def _walk_step(adj, wids, curs, step, P, n):
+    """Advance each walk to its out-neighbour ``u`` minimising
+    ``(walk_hash(w, step, u), u)``; -1 at a dead end."""
+    starts, dg = adj[0], adj[1]
+    loc = curs // P
+    deg = starts[loc + 1] - starts[loc]
+    out = np.full(len(wids), -1, dtype=np.int64)
+    live = np.flatnonzero(deg > 0)
+    if len(live) == 0:
+        return out
+    # flatten every live walk's neighbour list, rank by
+    # (hash, u) packed into one int64, segmented min
+    counts = deg[live]
+    offs = np.concatenate(([0], np.cumsum(counts)))
+    flat = np.concatenate(
+        [dg[starts[loc[i]]:starts[loc[i] + 1]] for i in live])
+    w_rep = np.repeat(wids[live], counts)
+    key = walk_hash(w_rep, step, flat) * np.int64(n) + flat
+    best = np.minimum.reduceat(key, offs[:-1])
+    out[live] = best % n
+    return out
 
 
 def random_walks(g: DistGraph, seeds, length):
@@ -1556,34 +1252,9 @@ def random_walks(g: DistGraph, seeds, length):
     Returns (walk_id, step, vid) int64 arrays.
     """
     P, sizes = g.P, g.sizes
-
-    @ray.remote
-    def build_adj(block, p):
-        starts, dg, _ = _block_csr_view(block, P, sizes[p])
-        return starts, dg
-
-    @ray.remote
-    def step_task(adj, wids, curs, step):
-        starts, dg = adj
-        loc = curs // P
-        deg = starts[loc + 1] - starts[loc]
-        out = np.full(len(wids), -1, dtype=np.int64)
-        live = np.flatnonzero(deg > 0)
-        if len(live) == 0:
-            return out
-        # flatten every live walk's neighbour list, rank by
-        # (hash, u) packed into one int64, segmented min
-        counts = deg[live]
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.concatenate(
-            [dg[starts[loc[i]]:starts[loc[i] + 1]] for i in live])
-        w_rep = np.repeat(wids[live], counts)
-        key = walk_hash(w_rep, step, flat) * np.int64(g.n) + flat
-        best = np.minimum.reduceat(key, offs[:-1])
-        out[live] = best % g.n
-        return out
-
-    adj_refs = [build_adj.remote(g.blocks[p], p) for p in range(P)]
+    adj_refs = _map(lambda block, p: _block_csr_view(block, P,
+                                                     sizes[p])[:2],
+                    g.blocks, range(P))
     wids = np.asarray(seeds, dtype=np.int64)
     cur = wids.copy()
     out_w = [wids.copy()]
@@ -1592,16 +1263,8 @@ def random_walks(g: DistGraph, seeds, length):
     for s in range(1, length + 1):
         if len(wids) == 0:
             break
-        parts = (cur % P).astype(np.int64)
-        nxt = np.full(len(wids), -1, dtype=np.int64)
-        futs = {}
-        for p in range(P):
-            idx = np.flatnonzero(parts == p)
-            if len(idx):
-                futs[p] = (idx, step_task.remote(
-                    adj_refs[p], wids[idx], cur[idx], s))
-        for p, (idx, f) in futs.items():
-            nxt[idx] = ray.get(f)
+        nxt = _walk_frontier(P, _walk_step, adj_refs, wids, cur, s, P,
+                             g.n)
         alive = nxt >= 0
         wids, cur = wids[alive], nxt[alive]
         out_w.append(wids.copy())
@@ -1636,7 +1299,8 @@ def node2vec_walks(g: DistGraph, seeds, length,
     deterministic draw from the weighted multiset (each candidate
     entered m times), reproducible across runs / parallelism levels
     and replicable in SQL. The first step (no predecessor) is the
-    uniform m=1 draw.
+    uniform m=1 draw — ``random_walks``' step, since
+    ``node2vec_hash(w, s, u, 0) == walk_hash(w, s, u)``.
 
     BSP shape: two shard rounds per step. Round A on cur's partition
     enumerates the walk's candidates and buckets them by
@@ -1656,32 +1320,10 @@ def node2vec_walks(g: DistGraph, seeds, length,
     P, sizes, n = g.P, g.sizes, g.n
     nI = np.int64(n)
 
-    @ray.remote
     def build_adj(block, p):
         starts, dg, ss_ = _block_csr_view(block, P, sizes[p])
         return starts, dg, ss_ * nI + dg   # member key: globally sorted
 
-    @ray.remote
-    def first_step(adj, wids, curs, step):
-        """Uniform m=1 step (no predecessor): one best per walk."""
-        starts, dg, _ = adj
-        loc = curs // P
-        deg = starts[loc + 1] - starts[loc]
-        out = np.full(len(wids), -1, dtype=np.int64)
-        live = np.flatnonzero(deg > 0)
-        if len(live) == 0:
-            return out
-        counts = deg[live]
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.concatenate(
-            [dg[starts[loc[i]]:starts[loc[i] + 1]] for i in live])
-        w_rep = np.repeat(wids[live], counts)
-        key = node2vec_hash(w_rep, step, flat, 0) * nI + flat
-        best = np.minimum.reduceat(key, offs[:-1])
-        out[live] = best % nI
-        return out
-
-    @ray.remote
     def enumerate_candidates(adj, wids, prevs, curs):
         """Round A: candidate (wid, prev, u) triples bucketed by
         prev % P."""
@@ -1704,7 +1346,6 @@ def node2vec_walks(g: DistGraph, seeds, length,
             outs.append((w_rep[m], p_rep[m], flat[m]))
         return outs
 
-    @ray.remote
     def classify_and_pick(adj, step, *incoming):
         """Round B: class multiplicity against prev's adjacency, then
         per-walk (hash, u) min — returns one partial best per walk."""
@@ -1738,7 +1379,8 @@ def node2vec_walks(g: DistGraph, seeds, length,
         first[1:] = ws[1:] != ws[:-1]
         return ws[first], ps[first]
 
-    adj_refs = [build_adj.remote(g.blocks[p], p) for p in range(P)]
+    adj_refs = _map(build_adj, g.blocks, range(P))
+    enumerate_task = _tasks(enumerate_candidates, P, split=True)
     wids = np.asarray(seeds, dtype=np.int64)
     cur = wids.copy()
     prev = np.full(len(wids), -1, dtype=np.int64)
@@ -1748,33 +1390,21 @@ def node2vec_walks(g: DistGraph, seeds, length,
     for s in range(1, length + 1):
         if len(wids) == 0:
             break
-        parts = (cur % P).astype(np.int64)
         if s == 1:
-            nxt = np.full(len(wids), -1, dtype=np.int64)
-            futs = {}
-            for p in range(P):
-                idx = np.flatnonzero(parts == p)
-                if len(idx):
-                    futs[p] = (idx, first_step.remote(
-                        adj_refs[p], wids[idx], cur[idx], s))
-            for p, (idx, f) in futs.items():
-                nxt[idx] = ray.get(f)
+            nxt = _walk_frontier(P, _walk_step, adj_refs, wids, cur, s,
+                                 P, n)
             alive = nxt >= 0
             wids, cur, prev = wids[alive], nxt[alive], cur[alive]
         else:
+            parts = (cur % P).astype(np.int64)
             cand_futs = []
             for p in range(P):
                 idx = np.flatnonzero(parts == p)
                 if len(idx):
-                    cand_futs.append(
-                        enumerate_candidates.options(
-                            num_returns=P).remote(
-                            adj_refs[p], wids[idx], prev[idx],
-                            cur[idx]))
-            pick_futs = [classify_and_pick.remote(
-                adj_refs[q], s, *[cf[q] for cf in cand_futs])
-                for q in range(P)]
-            parts_out = ray.get(pick_futs)
+                    cand_futs.append(enumerate_task(
+                        adj_refs[p], wids[idx], prev[idx], cur[idx]))
+            parts_out = ray.get(_map(classify_and_pick, adj_refs,
+                                     [s] * P, *cand_futs))
             aw = np.concatenate([t[0] for t in parts_out])
             ap = np.concatenate([t[1] for t in parts_out])
             if len(aw) == 0:
@@ -1800,60 +1430,37 @@ def node2vec_walks(g: DistGraph, seeds, length,
 
 def multi_bfs(g: DistGraph, sources, max_iter=10_000):
     """Per-source unweighted hop distances for a SMALL seed set
-    (closeness / eccentricity probes): one (k, size_p) int64 plane
+    (closeness / eccentricity probes): one (size_p, k) int64 plane
     per partition — state O(k * n / P), messages pre-aggregated by
     destination partition exactly like ``bfs_distances``, driver only
     sums change counts. Returns a (k, n) distance matrix (INF =
     unreachable).
     """
     P, n, sizes = g.P, g.n, g.sizes
-    INF = np.iinfo(np.int64).max
     k = len(sources)
 
-    @ray.remote
     def gather(block, dist):
-        d = dist[:, block["src_local"]]
-        per_edge = np.where(d == INF, INF, d + 1)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full((k, sizes[q]), INF, dtype=np.int64)
-            np.minimum.at(arr.T, block["dst_local"][sl],
-                          per_edge[:, sl].T)
-            outs.append(arr)
-        return outs
-
-    @ray.remote
-    def reduce(old, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.minimum(new, arr, out=new)
-        return new, int((new != old).sum())
+        d = dist[block["src_local"]]
+        return _scatter(block, np.where(d == BIG, BIG, d + 1), sizes,
+                        np.minimum, BIG, np.int64)
 
     sources = np.asarray(sources, dtype=np.int64)
     dist_refs = []
     for p in range(P):
-        shard = np.full((k, sizes[p]), INF, dtype=np.int64)
+        shard = np.full((sizes[p], k), BIG, dtype=np.int64)
         for i, s in enumerate(sources):
             if s % P == p:
-                shard[i, s // P] = 0
+                shard[s // P, i] = 0
         dist_refs.append(ray.put(shard))
     it = 0
     for it in range(max_iter):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], dist_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=2).remote(
-            dist_refs[q], *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        dist_refs = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
+        dist_refs, changed = _exchange(g, gather, _combine(np.minimum),
+                                       dist_refs)
         if changed == 0:
             break
-    shards = ray.get(dist_refs)
-    out = np.full((k, n), INF, dtype=np.int64)
+    out = np.full((k, n), BIG, dtype=np.int64)
     for p in range(P):
-        out[:, p::P] = shards[p]
+        out[:, p::P] = ray.get(dist_refs[p]).T
     return out, it + 1
 
 
@@ -1862,55 +1469,30 @@ def _spath_shards(g: DistGraph, source, max_depth=64):
     sig_refs, maxd) — per-partition int64 shards as object refs plus
     the deepest assigned level; the driver holds only refs and
     per-level change counts."""
-    P, n, sizes = g.P, g.n, g.sizes
-    INF = np.iinfo(np.int64).max
+    P, sizes = g.P, g.sizes
 
-    @ray.remote
     def gather(block, dist, sigma, d):
         src = block["src_local"]
         on = dist[src] == d
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            m = on[sl]
-            arr = np.zeros(sizes[q], dtype=np.int64)
-            np.add.at(arr, block["dst_local"][sl][m],
-                      sigma[src[sl][m]])
-            outs.append(arr)
-        return outs
+        return _scatter(_select(block, on), sigma[src[on]], sizes,
+                        np.add, 0, np.int64)
 
-    @ray.remote
     def reduce(dist, sigma, d, *incoming):
-        total = incoming[0].copy()
-        for arr in incoming[1:]:
-            total += arr
-        new = (dist == INF) & (total > 0)
+        total = _fold(incoming)
+        new = (dist == BIG) & (total > 0)
         nd, ns = dist.copy(), sigma.copy()
         nd[new] = d + 1
         ns[new] = total[new]
         return nd, ns, int(new.sum())
 
-    dist_refs, sig_refs = [], []
-    for p in range(P):
-        dd = np.full(sizes[p], INF, dtype=np.int64)
-        sg = np.zeros(sizes[p], dtype=np.int64)
-        if source % P == p:
-            dd[source // P] = 0
-            sg[source // P] = 1
-        dist_refs.append(ray.put(dd))
-        sig_refs.append(ray.put(sg))
+    dist_refs = _seed_shards(sizes, P, [source], 0, BIG, np.int64)
+    sig_refs = _seed_shards(sizes, P, [source], 1, 0, np.int64)
     maxd = 0
     for d in range(max_depth):
-        msg_refs = [gather.options(num_returns=P).remote(
-            g.blocks[p], dist_refs[p], sig_refs[p], d)
-            for p in range(P)]
-        outs = [reduce.options(num_returns=3).remote(
-            dist_refs[q], sig_refs[q], d,
-            *[msg_refs[p][q] for p in range(P)]) for q in range(P)]
-        dist_refs = [o[0] for o in outs]
-        sig_refs = [o[1] for o in outs]
-        if sum(ray.get([o[2] for o in outs])) == 0:
+        dist_refs, sig_refs, reached = _exchange(
+            g, gather, reduce, dist_refs, (sig_refs, [d] * P),
+            (sig_refs, [d] * P), num_returns=3)
+        if reached == 0:
             break
         maxd = d + 1
     return dist_refs, sig_refs, maxd
@@ -1953,14 +1535,8 @@ def betweenness(g: DistGraph, sources, result_out=None):
     Returns a length-n float64 array of summed dependencies (or the
     result_out descriptor).
     """
-    P, n, sizes = g.P, g.n, g.sizes
-    INF = np.iinfo(np.int64).max
+    P, sizes = g.P, g.sizes
 
-    @ray.remote
-    def zeros(sz):
-        return np.zeros(sz, dtype=np.float64)
-
-    @ray.remote
     def back_gather(block, p, d, *shards):
         # edges (src, dst) with dist[dst] == d, dist[src] == d - 1:
         # contribution to src: sigma[src]/sigma[dst] * (1 + delta[dst])
@@ -1969,57 +1545,44 @@ def betweenness(g: DistGraph, sources, result_out=None):
         dist = shards[:P]
         sigma = shards[P:2 * P]
         delta = shards[2 * P:]
-        src = block["src_local"]
-        off = block["dst_offsets"]
-        contrib = np.zeros(len(src), dtype=np.float64)
-        keep = np.zeros(len(src), dtype=bool)
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            dl = block["dst_local"][sl]
+        keep, contrib = [], []
+        for q, (dl,) in enumerate(_by_dest(block)):
             m = dist[q][dl] == d
-            keep[sl] = m
             with np.errstate(divide="ignore", invalid="ignore"):
-                c = np.where(
-                    m, (1.0 + delta[q][dl]) / sigma[q][dl], 0.0)
-            contrib[sl] = c
+                contrib.append(np.where(
+                    m, (1.0 + delta[q][dl]) / sigma[q][dl], 0.0))
+            keep.append(m)
+        keep, contrib = np.concatenate(keep), np.concatenate(contrib)
         out = np.zeros(sizes[p], dtype=np.float64)
-        np.add.at(out, src[keep], contrib[keep])
+        np.add.at(out, block["src_local"][keep], contrib[keep])
         return out
 
-    @ray.remote
     def back_update(delta_q, dist_q, sig_q, upd_q, d):
         new = delta_q.copy()
         m = dist_q == d - 1
         new[m] += sig_q[m] * upd_q[m]
         return new
 
-    @ray.remote
     def acc_update(acc_q, delta_q, dist_q):
-        m = (dist_q > 0) & (dist_q < INF)
+        m = (dist_q > 0) & (dist_q < BIG)
         new = acc_q.copy()
         new[m] += delta_q[m]
         return new
 
-    acc_refs = [zeros.remote(sizes[p]) for p in range(P)]
+    back_task = _tasks(back_gather)
+    acc_refs = _map(np.zeros, sizes)
     for s in sources:
         dist_refs, sig_refs, maxd = _spath_shards(g, int(s))
-        delta_refs = [zeros.remote(sizes[p]) for p in range(P)]
+        delta_refs = _map(np.zeros, sizes)
         for d in range(maxd, 0, -1):
-            upd_refs = [back_gather.remote(
-                g.blocks[p], p, d,
-                *dist_refs, *sig_refs, *delta_refs)
-                for p in range(P)]
-            delta_refs = [back_update.remote(
-                delta_refs[q], dist_refs[q], sig_refs[q],
-                upd_refs[q], d) for q in range(P)]
-        acc_refs = [acc_update.remote(acc_refs[q], delta_refs[q],
-                                      dist_refs[q])
-                    for q in range(P)]
+            upd_refs = [back_task(g.blocks[p], p, d, *dist_refs,
+                                  *sig_refs, *delta_refs)
+                        for p in range(P)]
+            delta_refs = _map(back_update, delta_refs, dist_refs,
+                              sig_refs, upd_refs, [d] * P)
+        acc_refs = _map(acc_update, acc_refs, delta_refs, dist_refs)
     if result_out is not None:
-        rows = write_shard_results(g, acc_refs, result_out,
-                                   "betweenness")
-        return {"path": result_out, "rows": rows,
-                "column": "betweenness"}
+        return _finish(g, acc_refs, None, result_out, "betweenness")[0]
     return assemble(g, acc_refs)
 
 
@@ -2036,6 +1599,23 @@ def mis_key(v, r):
     return h * MIS_KEY_STRIDE + v
 
 
+def _key_refs(g, r):
+    """Per-partition ``mis_key`` arrays of round ``r``."""
+    return [ray.put(mis_key(np.arange(p, g.n, g.P, dtype=np.int64), r))
+            for p in range(g.P)]
+
+
+def _nbr_min_gather(sizes, candidate):
+    """Gather of each vertex's minimum key over candidate neighbours:
+    ``candidate(state)`` marks the sources still in the running."""
+    def gather(block, state, keys):
+        src = block["src_local"]
+        return _scatter(block, np.where(candidate(state)[src], keys[src],
+                                        BIG), sizes, np.minimum, BIG,
+                        np.int64)
+    return gather
+
+
 def luby_mis(g: DistGraph, max_rounds=64, result_out=None):
     """Maximal independent set via deterministic Luby rounds: a
     vertex joins the MIS when its priority key is strictly smaller
@@ -2047,50 +1627,21 @@ def luby_mis(g: DistGraph, max_rounds=64, result_out=None):
     Returns (state, rounds): state per vertex — 1 = in MIS,
     2 = excluded, 0 = never active (no edges).
     """
-    P, n, sizes = g.P, g.n, g.sizes
-    BIG = np.iinfo(np.int64).max
+    sizes = g.sizes
 
-    @ray.remote
-    def nbr_min(block, state, keys):
-        src = block["src_local"]
-        k = np.where(state[src] == 0, keys[src], BIG)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], BIG, dtype=np.int64)
-            np.minimum.at(arr, block["dst_local"][sl], k[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
     def join_mis(state, keys, *incoming):
-        m = incoming[0].copy()
-        for arr in incoming[1:]:
-            np.minimum(m, arr, out=m)
         new = state.copy()
-        cand = (state == 0) & (keys < m)
+        cand = (state == 0) & (keys < _fold(incoming, np.minimum))
         new[cand] = 1
         return new, int(cand.sum())
 
-    @ray.remote
     def excl_gather(block, state, prev_state):
         src = block["src_local"]
         joined = (state[src] == 1) & (prev_state[src] == 0)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q], dtype=bool)
-            np.logical_or.at(arr, block["dst_local"][sl], joined[sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, joined, sizes, np.logical_or, False, bool)
 
-    @ray.remote
     def exclude(state, *incoming):
-        hit = incoming[0].copy()
-        for arr in incoming[1:]:
-            np.logical_or(hit, arr, out=hit)
+        hit = _fold(incoming, np.logical_or)
         new = state.copy()
         new[(state == 0) & hit] = 2
         return new, int((state == 0).sum() - ((state == 0) & hit).sum())
@@ -2098,42 +1649,31 @@ def luby_mis(g: DistGraph, max_rounds=64, result_out=None):
     # active = vertices with at least one edge
     act_refs, _ = g.active_masks()
     state_refs = []
-    for p in range(P):
+    for p in range(g.P):
         act = ray.get(act_refs[p])
         st = np.where(act, 0, 3).astype(np.int64)  # 3 = inactive/no-edge
         state_refs.append(ray.put(st))
 
+    nbr_min = _nbr_min_gather(sizes, lambda state: state == 0)
     rounds = 0
     for r in range(max_rounds):
-        key_refs = [ray.put(mis_key(np.arange(p, n, P, dtype=np.int64),
-                                    r)) for p in range(P)]
+        key_refs = _key_refs(g, r)
         prev_refs = state_refs
-        msg = [nbr_min.options(num_returns=P).remote(
-            g.blocks[p], state_refs[p], key_refs[p]) for p in range(P)]
-        outs = [join_mis.options(num_returns=2).remote(
-            state_refs[q], key_refs[q],
-            *[msg[p][q] for p in range(P)]) for q in range(P)]
-        state_refs = [o[0] for o in outs]
-        joined = sum(ray.get([o[1] for o in outs]))
-        emsg = [excl_gather.options(num_returns=P).remote(
-            g.blocks[p], state_refs[p], prev_refs[p])
-            for p in range(P)]
-        outs = [exclude.options(num_returns=2).remote(
-            state_refs[q], *[emsg[p][q] for p in range(P)])
-            for q in range(P)]
-        state_refs = [o[0] for o in outs]
-        remaining = sum(ray.get([o[1] for o in outs]))
+        state_refs, _ = _exchange(g, nbr_min, join_mis, state_refs,
+                                  (key_refs,), (key_refs,))
+        state_refs, remaining = _exchange(g, excl_gather, exclude,
+                                          state_refs, (prev_refs,))
         rounds = r + 1
         if remaining == 0:
             break
-    @ray.remote
+
     def norm_state(s):
         out = s.copy()
         out[out == 3] = 0
         return out
 
-    state_refs = [norm_state.remote(s) for s in state_refs]
-    return _finish(g, state_refs, rounds, result_out, "state")
+    return _finish(g, _map(norm_state, state_refs), rounds, result_out,
+                   "state")
 
 
 def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
@@ -2146,52 +1686,26 @@ def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
 
     Returns (colors, n_colors): colour per vertex (-1 = no edges).
     """
-    P, n, sizes = g.P, g.n, g.sizes
-    BIG = np.iinfo(np.int64).max
+    P, sizes = g.P, g.sizes
 
-    @ray.remote
-    def nbr_min(block, avail, keys):
-        src = block["src_local"]
-        k = np.where(avail[src], keys[src], BIG)
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], BIG, dtype=np.int64)
-            np.minimum.at(arr, block["dst_local"][sl], k[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
     def join(avail, keys, *incoming):
-        m = incoming[0].copy()
-        for arr in incoming[1:]:
-            np.minimum(m, arr, out=m)
-        cand = avail & (keys < m)
+        cand = avail & (keys < _fold(incoming, np.minimum))
         return cand, int(cand.sum())
 
-    @ray.remote
     def excl_gather(block, cand):
-        src = block["src_local"]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q], dtype=bool)
-            np.logical_or.at(arr, block["dst_local"][sl],
-                             cand[src][sl])
-            outs.append(arr)
-        return outs
+        return _scatter(block, cand[block["src_local"]], sizes,
+                        np.logical_or, False, bool)
 
-    @ray.remote
-    def apply_round(colors, avail, cand, color, *incoming):
-        hit = incoming[0].copy()
-        for arr in incoming[1:]:
-            np.logical_or(hit, arr, out=hit)
+    def apply_round(cand, colors, avail, color, *incoming):
         nc = colors.copy()
         nc[cand] = color
-        na = avail & ~cand & ~hit     # excluded this MIS round
-        return nc, na, int(na.sum()), int(avail.sum() - cand.sum())
+        # excluded this MIS round
+        na = avail & ~cand & ~_fold(incoming, np.logical_or)
+        return nc, na, int(na.sum())
+
+    def still_uncolored(colors, rem):
+        na = rem & (colors < 0)
+        return na, int(na.sum())
 
     act_refs, _ = g.active_masks()
     color_refs, avail_refs, uncolored = [], [], 0
@@ -2202,45 +1716,27 @@ def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
         uncolored += int(act.sum())
     # 'remaining to colour' per colour layer: vertices not yet
     # coloured; within a layer, Luby rounds shrink 'avail'
+    nbr_min = _nbr_min_gather(sizes, lambda avail: avail)
     color = 0
     remaining_refs = avail_refs
     while uncolored > 0 and color < max_colors:
         # one full MIS over the uncoloured subgraph, Luby round r
-        avail_refs = [ray.put(ray.get(r).copy())
-                      for r in remaining_refs]
+        avail_refs = _copy_shards(remaining_refs)
         r = 0
-        while True:
-            key_refs = [ray.put(mis_key(
-                np.arange(p, n, P, dtype=np.int64),
-                color * 1000 + r)) for p in range(P)]
-            msg = [nbr_min.options(num_returns=P).remote(
-                g.blocks[p], avail_refs[p], key_refs[p])
-                for p in range(P)]
-            outs = [join.options(num_returns=2).remote(
-                avail_refs[q], key_refs[q],
-                *[msg[p][q] for p in range(P)]) for q in range(P)]
-            cand_refs = [o[0] for o in outs]
-            joined = sum(ray.get([o[1] for o in outs]))
-            emsg = [excl_gather.options(num_returns=P).remote(
-                g.blocks[p], cand_refs[p]) for p in range(P)]
-            outs = [apply_round.options(num_returns=4).remote(
-                color_refs[q], avail_refs[q], cand_refs[q], color,
-                *[emsg[p][q] for p in range(P)]) for q in range(P)]
-            color_refs = [o[0] for o in outs]
-            avail_refs = [o[1] for o in outs]
-            left = sum(ray.get([o[2] for o in outs]))
+        left = None
+        while left != 0:
+            key_refs = _key_refs(g, color * 1000 + r)
+            cand_refs, _ = _exchange(g, nbr_min, join, avail_refs,
+                                     (key_refs,), (key_refs,))
+            color_refs, avail_refs, left = _exchange(
+                g, excl_gather, apply_round, cand_refs,
+                reduce_args=(color_refs, avail_refs, [color] * P),
+                num_returns=3)
             r += 1
-            if left == 0:
-                break
         # uncoloured = previous uncoloured minus this colour class
-        @ray.remote
-        def still_uncolored(colors, rem):
-            na = rem & (colors < 0)
-            return na, int(na.sum())
-        outs = [still_uncolored.options(num_returns=2).remote(
-            color_refs[p], remaining_refs[p]) for p in range(P)]
-        remaining_refs = [o[0] for o in outs]
-        uncolored = sum(ray.get([o[1] for o in outs]))
+        remaining_refs, counts = _map(still_uncolored, color_refs,
+                                      remaining_refs, num_returns=2)
+        uncolored = sum(ray.get(counts))
         color += 1
     return _finish(g, color_refs, color, result_out, "color")
 
@@ -2292,22 +1788,15 @@ def maximal_matching(g: DistGraph, max_rounds=256, result_out=None):
         raise ValueError(
             f"packed match_key needs n < {MATCH_VID_BOUND}; split the "
             "key comparison into (hash, min, max) message tuples")
-    BIG = np.iinfo(np.int64).max
 
-    @ray.remote
     def propose(p, block, state_p, *dst_states):
         """Partition-local argmin edge per resident vertex + candidate
         minima shipped to each destination partition."""
         src = block["src_local"]
-        dst_part = block["dst_part"]
-        dst_local = block["dst_local"]
         src_g = src * P + p
-        dst_g = dst_local * P + dst_part
-        off = block["dst_offsets"]
-        dstate = np.empty(len(src), dtype=np.int8)
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            dstate[sl] = dst_states[q][dst_local[sl]]
+        dst_g = block["dst_local"] * P + block["dst_part"]
+        dstate = np.concatenate([dst_states[q][dl] for q, (dl,)
+                                 in enumerate(_by_dest(block))])
         ok = (state_p[src] == 0) & (dstate == 0) & (src_g != dst_g)
         ke = np.where(ok, match_key(src_g, dst_g), BIG)
         kmin = np.full(sizes[p], BIG, dtype=np.int64)
@@ -2315,24 +1804,16 @@ def maximal_matching(g: DistGraph, max_rounds=256, result_out=None):
         win = ok & (ke == kmin[src])
         partner = np.full(sizes[p], -1, dtype=np.int64)
         partner[src[win]] = dst_g[win]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.full(sizes[q], BIG, dtype=np.int64)
-            m = win[sl]
-            np.minimum.at(arr, dst_local[sl][m], ke[sl][m])
-            outs.append(arr)
-        return [kmin, partner] + outs
+        return [kmin, partner] + _scatter(_select(block, win), ke[win],
+                                          sizes, np.minimum, BIG,
+                                          np.int64)
 
-    @ray.remote
     def confirm(state_q, partner_prev_q, kmin_q, partner_q, *cands):
         """v is matched iff its own minimum edge came back as a
         candidate (the proposer's minimum too — mutual by key
         uniqueness)."""
-        c = cands[0].copy()
-        for arr in cands[1:]:
-            np.minimum(c, arr, out=c)
-        matched = (state_q == 0) & (kmin_q < BIG) & (c == kmin_q)
+        matched = (state_q == 0) & (kmin_q < BIG) \
+            & (_fold(cands, np.minimum) == kmin_q)
         ns = state_q.copy()
         ns[matched] = 1
         npart = partner_prev_q.copy()
@@ -2348,19 +1829,16 @@ def maximal_matching(g: DistGraph, max_rounds=256, result_out=None):
         partner_refs.append(ray.put(
             np.full(sizes[p], -1, dtype=np.int64)))
 
+    propose_task = _tasks(propose, 2 + P)
     rounds = 0
     for r in range(max_rounds):
-        msg = [propose.options(num_returns=2 + P).remote(
-            p, g.blocks[p], state_refs[p], *state_refs)
-            for p in range(P)]
-        outs = [confirm.options(num_returns=3).remote(
-            state_refs[q], partner_refs[q], msg[q][0], msg[q][1],
-            *[msg[p][2 + q] for p in range(P)]) for q in range(P)]
-        state_refs = [o[0] for o in outs]
-        partner_refs = [o[1] for o in outs]
-        matched = sum(ray.get([o[2] for o in outs]))
+        msg = [propose_task(p, g.blocks[p], state_refs[p], *state_refs)
+               for p in range(P)]
+        state_refs, partner_refs, matched = _map(
+            confirm, state_refs, partner_refs, [m[0] for m in msg],
+            [m[1] for m in msg], *[m[2:] for m in msg], num_returns=3)
         rounds = r + 1
-        if matched == 0:
+        if sum(ray.get(matched)) == 0:
             break
     return _finish(g, partner_refs, rounds, result_out, "partner")
 
@@ -2406,14 +1884,12 @@ def pagerank_batch(g: DistGraph, seed_sets, damping=0.85, tol=0.0,
         pv_refs.append(ray.put(m))
     norm_refs = g.out_strength if weighted else g.out_deg
 
-    @ray.remote
     def init_shard(act, pvec):
         r = pvec.copy()
         if act is not None:
             r[~act] = 0.0
         return r
 
-    @ray.remote
     def gather(block, rank, norm):
         src_contrib = np.zeros_like(rank)
         nz = norm > 0
@@ -2421,70 +1897,51 @@ def pagerank_batch(g: DistGraph, seed_sets, damping=0.85, tol=0.0,
         per_edge = src_contrib[block["src_local"]]
         if weighted:
             per_edge = per_edge * block["weight"][:, None]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros((sizes[q], S))
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs if P > 1 else outs + [None]
+        return _scatter(block, per_edge, sizes, np.add, 0.0, np.float64)
 
-    @ray.remote
     def dangling_of(rank, norm, act):
         m = norm <= 0 if act is None else (act & (norm <= 0))
         return rank[m].sum(axis=0)
 
-    @ray.remote
-    def reduce(old, dang, act, pvec, *incoming):
+    def reduce(old, act, pvec, *rest):
+        # rest: the P per-partition dangling masses, then the messages
+        dang = np.sum(rest[:P], axis=0)
         new = pvec * (1.0 - damping + damping * dang)[None, :]
-        for arr in incoming:
+        for arr in rest[P:]:
             new += damping * arr
         if act is not None:
             new[~act] = 0.0
         return new, float(np.abs(new - old).sum())
 
-    rank_refs = [init_shard.remote(act_refs[p], pv_refs[p])
-                 for p in range(P)]
+    def write_long(shard, p):
+        import os
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        os.makedirs(result_out, exist_ok=True)
+        path = os.path.join(result_out, f"part-{p:05d}.parquet")
+        if os.path.exists(path):
+            return shard.size
+        vids = np.repeat(p + P * np.arange(len(shard), dtype=np.int64), S)
+        seed = np.tile(np.arange(S, dtype=np.int64), len(shard))
+        tmp = path + f".tmp-{os.getpid()}"
+        pq.write_table(pa.table({
+            "vid": pa.array(vids), "seed": pa.array(seed),
+            "rank": pa.array(shard.ravel())}), tmp)
+        os.replace(tmp, path)
+        return shard.size
+
+    rank_refs = _map(init_shard, act_refs, pv_refs)
     it = -1
     for it in range(max_iter):
-        msg_refs = [gather.options(num_returns=max(P, 2)).remote(
-            g.blocks[p], rank_refs[p], norm_refs[p])
-            for p in range(P)]
-        dang = np.sum(ray.get([dangling_of.remote(
-            rank_refs[p], norm_refs[p], act_refs[p])
-            for p in range(P)]), axis=0)
-        outs = [reduce.options(num_returns=2).remote(
-            rank_refs[q], dang, act_refs[q], pv_refs[q],
-            *[msg_refs[p][q] for p in range(P)]) for q in range(P)]
-        rank_refs = [o[0] for o in outs]
-        delta = sum(ray.get([o[1] for o in outs]))
+        dang = _map(dangling_of, rank_refs, norm_refs, act_refs)
+        rank_refs, delta = _exchange(
+            g, gather, reduce, rank_refs, (norm_refs,),
+            (act_refs, pv_refs, *([d] * P for d in dang)))
         if tol > 0 and delta < tol:
             break
 
     if result_out is not None:
-        @ray.remote
-        def write_long(shard, p):
-            import os
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-            os.makedirs(result_out, exist_ok=True)
-            path = os.path.join(result_out,
-                                f"part-{p:05d}.parquet")
-            if os.path.exists(path):
-                return shard.size
-            vids = np.repeat(p + P * np.arange(len(shard),
-                                               dtype=np.int64), S)
-            seed = np.tile(np.arange(S, dtype=np.int64), len(shard))
-            tmp = path + f".tmp-{os.getpid()}"
-            pq.write_table(pa.table({
-                "vid": pa.array(vids), "seed": pa.array(seed),
-                "rank": pa.array(shard.ravel())}), tmp)
-            os.replace(tmp, path)
-            return shard.size
-
-        rows = int(sum(ray.get([write_long.remote(rank_refs[p], p)
-                                for p in range(P)])))
+        rows = int(sum(ray.get(_map(write_long, rank_refs, range(P)))))
         return {"path": result_out, "rows": rows,
                 "column": "rank"}, it + 1
     out = np.zeros((n, S))
@@ -2507,35 +1964,12 @@ def hitting_time(g: DistGraph, targets, iters=30, weighted=False,
     w*h(src) along src->dst edges and divide by strength at the
     destination, so the symmetric-graph gather is the same exchange
     shape as PageRank. ``result_out=`` shares ``_finish``."""
-    P, n, sizes = g.P, g.n, g.sizes
-    targets = np.asarray(targets, dtype=np.int64)
-    tgt_refs = []
-    for p in range(P):
-        m = np.zeros(sizes[p], dtype=bool)
-        tp = targets[targets % P == p]
-        m[tp // P] = True
-        tgt_refs.append(ray.put(m))
+    P, sizes = g.P, g.sizes
+    tgt_refs = _seed_shards(sizes, P, targets, True, False, bool)
     norm_refs = g.out_strength if weighted else g.out_deg
 
-    @ray.remote
-    def gather(block, h):
-        per_edge = h[block["src_local"]]
-        if weighted:
-            per_edge = per_edge * block["weight"]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros(sizes[q])
-            np.add.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs if P > 1 else outs + [None]
-
-    @ray.remote
-    def reduce(norm, tgt, *incoming):
-        acc = np.zeros(len(norm))
-        for arr in incoming:
-            acc += arr
+    def reduce(_, norm, tgt, *incoming):
+        acc = _fold(incoming)
         new = np.zeros(len(norm))
         nz = norm > 0
         new[nz] = 1.0 + acc[nz] / norm[nz]
@@ -2543,19 +1977,59 @@ def hitting_time(g: DistGraph, targets, iters=30, weighted=False,
         new[tgt] = 0.0
         return new
 
-    h_refs = [ray.put(np.zeros(sizes[p])) for p in range(P)]
+    gather = _linear_gather(sizes, weighted)
+    h_refs = [ray.put(np.zeros(s)) for s in sizes]
     for _ in range(iters):
-        msg = [gather.options(num_returns=max(P, 2)).remote(
-            g.blocks[p], h_refs[p]) for p in range(P)]
-        h_refs = [reduce.remote(norm_refs[q], tgt_refs[q],
-                                *[msg[p][q] for p in range(P)])
-                  for q in range(P)]
+        h_refs = _exchange(g, gather, reduce, h_refs,
+                           reduce_args=(norm_refs, tgt_refs),
+                           num_returns=1)
     return _finish(g, h_refs, iters, result_out, "hitting_time")
 
 
 # ----------------------------------------------------------------------
 # HyperANF: neighbourhood function via per-vertex HLL sketches
 # ----------------------------------------------------------------------
+def _hll_init(mask, p, P):
+    """One 64-register HLL sketch per vertex of partition p, holding
+    the vertex itself (active vertices only)."""
+    from ..stages.sketch import HLL_M, HLL_REM_BITS, HLL_RHO_MAX, hash32
+    loc = np.flatnonzero(mask)
+    reg = np.zeros((len(mask), HLL_M), dtype=np.uint8)
+    if len(loc):
+        vids = p + P * loc.astype(np.int64)
+        h = hash32(vids)
+        bucket = (h >> HLL_REM_BITS).astype(np.int64)
+        rem = h & ((1 << HLL_REM_BITS) - 1)
+        bl = np.zeros(len(rem), dtype=np.int64)
+        x = rem.copy()
+        while (x > 0).any():
+            nz = x > 0
+            bl[nz] += 1
+            x = x >> 1
+        reg[loc, bucket] = (HLL_RHO_MAX - bl).astype(np.uint8)
+    return reg
+
+
+def _hll_est_q(reg):
+    """Per-vertex ball estimates, 1e-6 fixed point (empty sketch = 0)."""
+    from ..stages.sketch import HLL_RHO_MAX, hll_estimate_from_sums
+    pres = reg > 0
+    npres = pres.sum(axis=1).astype(np.int64)
+    vals = np.where(pres,
+                    np.int64(1) << (HLL_RHO_MAX - reg.astype(np.int64)),
+                    np.int64(0))
+    est = hll_estimate_from_sums(vals.sum(axis=1), npres)
+    est[npres == 0] = 0.0      # empty sketch = inactive vertex
+    return np.floor(est * 1e6 + 0.5).astype(np.int64)
+
+
+def _hll_gather(sizes):
+    def gather(block, reg):
+        return _scatter(block, reg[block["src_local"]], sizes, np.maximum,
+                        0, np.uint8)
+    return gather
+
+
 def hyperanf(g: DistGraph, rounds=8, result_out=None,
              checkpoint=None):
     """HyperANF (Boldi, Rosa & Vigna, WWW 2011): the neighbourhood
@@ -2587,110 +2061,29 @@ def hyperanf(g: DistGraph, rounds=8, result_out=None,
     per round through ``CheckpointManager`` (the standard kernel
     resume contract).
     """
-    from ..stages.sketch import (HLL_M, HLL_REM_BITS, HLL_RHO_MAX,
-                                 hash32, hll_estimate_from_sums)
-    P, n, sizes = g.P, g.n, g.sizes
-    masks, _ = g.active_masks()
+    P = g.P
+    gather = _hll_gather(g.sizes)
 
-    @ray.remote
-    def init(mask, p):
-        loc = np.flatnonzero(mask)
-        reg = np.zeros((len(mask), HLL_M), dtype=np.uint8)
-        if len(loc):
-            vids = p + P * loc.astype(np.int64)
-            h = hash32(vids)
-            bucket = (h >> HLL_REM_BITS).astype(np.int64)
-            rem = h & ((1 << HLL_REM_BITS) - 1)
-            bl = np.zeros(len(rem), dtype=np.int64)
-            x = rem.copy()
-            while (x > 0).any():
-                nz = x > 0
-                bl[nz] += 1
-                x = x >> 1
-            rho = HLL_RHO_MAX - bl
-            reg[loc, bucket] = rho.astype(np.uint8)
-        return reg
+    def nf_of(reg_refs):
+        return int(sum(ray.get(_map(lambda r: int(_hll_est_q(r).sum()),
+                                    reg_refs))))
 
-    def _est_q(reg):
-        pres = reg > 0
-        npres = pres.sum(axis=1).astype(np.int64)
-        vals = np.where(pres,
-                        np.int64(1) << (HLL_RHO_MAX
-                                        - reg.astype(np.int64)),
-                        np.int64(0))
-        est = hll_estimate_from_sums(vals.sum(axis=1), npres)
-        est[npres == 0] = 0.0      # empty sketch = inactive vertex
-        return np.floor(est * 1e6 + 0.5).astype(np.int64)
+    def step(reg_refs, metrics):
+        nf = [int(v) for v in metrics.get("nf") or [nf_of(reg_refs)]]
+        reg_refs, changed = _exchange(g, gather, _combine(np.maximum),
+                                      reg_refs)
+        return reg_refs, {"changed": changed, "nf": nf + [nf_of(reg_refs)]}
 
-    @ray.remote
-    def est_sum(reg):
-        return int(_est_q(reg).sum())
-
-    @ray.remote
-    def est_arr(reg):
-        return _est_q(reg) / 1e6
-
-    @ray.remote
-    def gather(block, reg):
-        per_edge = reg[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros((sizes[q], HLL_M), dtype=np.uint8)
-            np.maximum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
-    def reduce(old, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.maximum(new, arr, out=new)
-        return new, int((new != old).any(axis=1).sum())
-
-    ckpt = CheckpointManager(checkpoint, "hyperanf", P, n=n) \
-        if checkpoint else None
-    nf = None
-    start = 1
-    done = False
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            step, shards, metrics = resumed
-            reg_refs = [ray.put(s) for s in shards]
-            nf = [int(v) for v in metrics["nf"]]
-            start = step + 1
-            done = metrics.get("changed", -1) == 0
-            t = step
-    if nf is None:
-        reg_refs = [init.remote(masks[p], p) for p in range(P)]
-        nf = [int(sum(ray.get([est_sum.remote(r)
-                               for r in reg_refs])))]
-        t = 0
-    if not done:
-        for t in range(start, rounds + 1):
-            msg_refs = [gather.options(num_returns=max(P, 2)).remote(
-                g.blocks[p], reg_refs[p]) for p in range(P)]
-            outs = [reduce.options(num_returns=2).remote(
-                reg_refs[q], *[msg_refs[p][q] for p in range(P)])
-                for q in range(P)]
-            reg_refs = [o[0] for o in outs]
-            changed = sum(ray.get([o[1] for o in outs]))
-            nf.append(int(sum(ray.get([est_sum.remote(r)
-                                       for r in reg_refs]))))
-            if ckpt is not None:
-                ckpt.save(t, ray.get(reg_refs),
-                          metrics={"changed": changed, "nf": nf})
-            if changed == 0:
-                break
-    nf_q = np.asarray(nf, dtype=np.int64)
+    reg_refs, t, metrics = _fixed_point(
+        g, "hyperanf", _map(_hll_init, g.active_masks()[0], range(P),
+                            [P] * P),
+        step, _settled, rounds, checkpoint, None, None)
+    nf_q = np.asarray(metrics.get("nf") or [nf_of(reg_refs)],
+                      dtype=np.int64)
     if result_out is None:
         return nf_q, t
-    ball_refs = [est_arr.remote(r) for r in reg_refs]
-    rows = write_shard_results(g, ball_refs, result_out, "ball_est")
-    return ({"path": result_out, "rows": rows,
-             "column": "ball_est"}, nf_q, t)
+    ball_refs = _map(lambda r: _hll_est_q(r) / 1e6, reg_refs)
+    return _finish(g, ball_refs, None, result_out, "ball_est")[0], nf_q, t
 
 
 def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
@@ -2719,60 +2112,19 @@ def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
     descriptor, column ``harmonic_est`` / ``sumdist_est``)."""
     if weight not in ("harmonic", "distance"):
         raise ValueError(f"unknown weight mode {weight!r}")
-    from ..stages.sketch import (HLL_M, HLL_REM_BITS, HLL_RHO_MAX,
-                                 hash32, hll_estimate_from_sums)
-    P, n, sizes = g.P, g.n, g.sizes
-    masks, _ = g.active_masks()
+    P = g.P
+    harmonic = weight == "harmonic"
+    gather, fold = _hll_gather(g.sizes), _combine(np.maximum)
 
-    def _est_q(reg):
-        pres = reg > 0
-        npres = pres.sum(axis=1).astype(np.int64)
-        vals = np.where(pres,
-                        np.int64(1) << (HLL_RHO_MAX
-                                        - reg.astype(np.int64)),
-                        np.int64(0))
-        est = hll_estimate_from_sums(vals.sum(axis=1), npres)
-        est[npres == 0] = 0.0
-        return np.floor(est * 1e6 + 0.5).astype(np.int64)
-
-    @ray.remote
     def init(mask, p):
-        loc = np.flatnonzero(mask)
-        reg = np.zeros((len(mask), HLL_M), dtype=np.uint8)
-        if len(loc):
-            vids = p + P * loc.astype(np.int64)
-            h = hash32(vids)
-            bucket = (h >> HLL_REM_BITS).astype(np.int64)
-            rem = h & ((1 << HLL_REM_BITS) - 1)
-            bl = np.zeros(len(rem), dtype=np.int64)
-            x = rem.copy()
-            while (x > 0).any():
-                nz = x > 0
-                bl[nz] += 1
-                x = x >> 1
-            reg[loc, bucket] = (HLL_RHO_MAX - bl).astype(np.uint8)
+        reg = _hll_init(mask, p, P)
         # int64 zeros: harmonic's first float add promotes to
         # float64; distance mode stays exact-integer throughout
-        return reg, _est_q(reg), np.zeros(len(mask), dtype=np.int64)
+        return reg, _hll_est_q(reg), np.zeros(len(mask), dtype=np.int64)
 
-    @ray.remote
-    def gather(block, reg):
-        per_edge = reg[block["src_local"]]
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            arr = np.zeros((sizes[q], HLL_M), dtype=np.uint8)
-            np.maximum.at(arr, block["dst_local"][sl], per_edge[sl])
-            outs.append(arr)
-        return outs
-
-    @ray.remote
-    def reduce(old, prev_q, acc, t, harmonic, *incoming):
-        new = old.copy()
-        for arr in incoming:
-            np.maximum(new, arr, out=new)
-        new_q = _est_q(new)
+    def reduce(old, prev_q, acc, t, *incoming):
+        new, changed = fold(old, *incoming)
+        new_q = _hll_est_q(new)
         if harmonic:
             # float accumulator, fixed t-order (matches the serial
             # replica term by term)
@@ -2781,28 +2133,16 @@ def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
             # EXACT integer accumulator: sum of Δq * t is
             # order-free, so an SQL twin can sum it as integers
             acc = acc + (new_q - prev_q) * t
-        changed = int((new != old).any(axis=1).sum())
         return new, new_q, acc, changed
 
-    inits = [init.options(num_returns=3).remote(masks[p], p)
-             for p in range(P)]
-    reg_refs = [i[0] for i in inits]
-    prev_refs = [i[1] for i in inits]
-    acc_refs = [i[2] for i in inits]
+    reg_refs, prev_refs, acc_refs = _map(init, g.active_masks()[0],
+                                         range(P), num_returns=3)
     t = 0
     for t in range(1, rounds + 1):
-        msg_refs = [gather.options(num_returns=max(P, 2)).remote(
-            g.blocks[p], reg_refs[p]) for p in range(P)]
-        outs = [reduce.options(num_returns=4).remote(
-            reg_refs[q], prev_refs[q], acc_refs[q], t,
-            weight == "harmonic",
-            *[msg_refs[p][q] for p in range(P)])
-            for q in range(P)]
-        reg_refs = [o[0] for o in outs]
-        prev_refs = [o[1] for o in outs]
-        acc_refs = [o[2] for o in outs]
-        changed = sum(ray.get([o[3] for o in outs]))
+        reg_refs, prev_refs, acc_refs, changed = _exchange(
+            g, gather, reduce, reg_refs,
+            reduce_args=(prev_refs, acc_refs, [t] * P), num_returns=4)
         if changed == 0:
             break
-    col = "harmonic_est" if weight == "harmonic" else "sumdist_est"
+    col = "harmonic_est" if harmonic else "sumdist_est"
     return _finish(g, acc_refs, t, result_out, col)
