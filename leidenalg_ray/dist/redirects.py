@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 import ray
 
+from .superstep import _tasks
+
 
 @ray.remote
 def _build_shard(src, dst, p, P):
@@ -78,8 +80,8 @@ def _compose(shard, P, *responses):
     return out, int((~done).sum())
 
 
-@ray.remote
 def _queries_of(shard, P):
+    """A shard's live pointer targets, one array per owner shard."""
     live = shard["nxt"][~shard["done"]]
     return [live[(live % P) == q] for q in range(P)]
 
@@ -102,12 +104,12 @@ def resolve_redirects(src, dst, P=8, rounds=20):
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     shards = [_build_shard.remote(src, dst, p, P) for p in range(P)]
+    queries_of = _tasks(_queries_of, P, split=True)
     for _ in range(rounds):
         # owners answer against the PRE-round snapshot: classic
         # synchronous doubling (hops exactly double per round)
         snap = list(shards)
-        qrefs = [_queries_of.options(num_returns=P).remote(snap[p], P)
-                 for p in range(P)]
+        qrefs = [queries_of(snap[p], P) for p in range(P)]
         new = []
         counts = []
         for p in range(P):

@@ -1605,14 +1605,22 @@ def _key_refs(g, r):
             for p in range(g.P)]
 
 
+def _not_loop(block, p):
+    """Per edge of partition ``p``'s block: False on a self-loop (a
+    vertex is not its own neighbour)."""
+    return (block["dst_part"] != p) | (block["dst_local"]
+                                       != block["src_local"])
+
+
 def _nbr_min_gather(sizes, candidate):
     """Gather of each vertex's minimum key over candidate neighbours:
-    ``candidate(state)`` marks the sources still in the running."""
-    def gather(block, state, keys):
+    ``candidate(state)`` marks the sources still in the running;
+    gather args ``(keys, p)``."""
+    def gather(block, state, keys, p):
         src = block["src_local"]
-        return _scatter(block, np.where(candidate(state)[src], keys[src],
-                                        BIG), sizes, np.minimum, BIG,
-                        np.int64)
+        send = candidate(state)[src] & _not_loop(block, p)
+        return _scatter(block, np.where(send, keys[src], BIG), sizes,
+                        np.minimum, BIG, np.int64)
     return gather
 
 
@@ -1635,10 +1643,11 @@ def luby_mis(g: DistGraph, max_rounds=64, result_out=None):
         new[cand] = 1
         return new, int(cand.sum())
 
-    def excl_gather(block, state, prev_state):
+    def excl_gather(block, state, prev_state, p):
         src = block["src_local"]
         joined = (state[src] == 1) & (prev_state[src] == 0)
-        return _scatter(block, joined, sizes, np.logical_or, False, bool)
+        return _scatter(block, joined & _not_loop(block, p), sizes,
+                        np.logical_or, False, bool)
 
     def exclude(state, *incoming):
         hit = _fold(incoming, np.logical_or)
@@ -1655,14 +1664,15 @@ def luby_mis(g: DistGraph, max_rounds=64, result_out=None):
         state_refs.append(ray.put(st))
 
     nbr_min = _nbr_min_gather(sizes, lambda state: state == 0)
+    parts = list(range(g.P))
     rounds = 0
     for r in range(max_rounds):
         key_refs = _key_refs(g, r)
         prev_refs = state_refs
         state_refs, _ = _exchange(g, nbr_min, join_mis, state_refs,
-                                  (key_refs,), (key_refs,))
+                                  (key_refs, parts), (key_refs,))
         state_refs, remaining = _exchange(g, excl_gather, exclude,
-                                          state_refs, (prev_refs,))
+                                          state_refs, (prev_refs, parts))
         rounds = r + 1
         if remaining == 0:
             break
@@ -1692,9 +1702,9 @@ def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
         cand = avail & (keys < _fold(incoming, np.minimum))
         return cand, int(cand.sum())
 
-    def excl_gather(block, cand):
-        return _scatter(block, cand[block["src_local"]], sizes,
-                        np.logical_or, False, bool)
+    def excl_gather(block, cand, p):
+        send = cand[block["src_local"]] & _not_loop(block, p)
+        return _scatter(block, send, sizes, np.logical_or, False, bool)
 
     def apply_round(cand, colors, avail, color, *incoming):
         nc = colors.copy()
@@ -1717,6 +1727,7 @@ def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
     # 'remaining to colour' per colour layer: vertices not yet
     # coloured; within a layer, Luby rounds shrink 'avail'
     nbr_min = _nbr_min_gather(sizes, lambda avail: avail)
+    parts = list(range(P))
     color = 0
     remaining_refs = avail_refs
     while uncolored > 0 and color < max_colors:
@@ -1727,9 +1738,9 @@ def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
         while left != 0:
             key_refs = _key_refs(g, color * 1000 + r)
             cand_refs, _ = _exchange(g, nbr_min, join, avail_refs,
-                                     (key_refs,), (key_refs,))
+                                     (key_refs, parts), (key_refs,))
             color_refs, avail_refs, left = _exchange(
-                g, excl_gather, apply_round, cand_refs,
+                g, excl_gather, apply_round, cand_refs, (parts,),
                 reduce_args=(color_refs, avail_refs, [color] * P),
                 num_returns=3)
             r += 1

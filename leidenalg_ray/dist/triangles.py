@@ -1,16 +1,34 @@
 """Distributed triangle counting (SURVEY.md §2.8).
 
-Two paths share the same degree-ordered (compact-forward) algorithm —
-orient each edge from the lower-(degree, vid) endpoint so wedges
-enumerate only among forward neighbours (sum outdeg^2, outdeg in
-O(sqrt(2m)); the standard skew fix):
+Every kernel of the triangle family runs one degree-ordered
+(compact-forward) wedge enumeration: orient each edge from the
+lower-(degree, vid) endpoint, so wedges enumerate only among forward
+neighbours (sum outdeg^2, outdeg in O(sqrt(2m)); the standard skew
+fix). It is written once, as the one wedge path:
 
-- ``triangle_count_fast``: the whole canonical edge-key array
-  broadcasts once via ``ray.put`` — fastest while the deduped edge set
-  fits a node.
-- ``triangle_count``: the >node-memory form. The edge set spills to
-  K hash partitions (by the lower endpoint), degree/rank state is the
-  only O(V) driver piece, and wedge keys flow worker-to-worker into
+- ``_forward_csr(a, b, n)`` — the orientation: the (degree, vid) rank
+  and the forward adjacency as a CSR whose rows list their targets in
+  ascending vid order.
+- ``_row_pairs(indptr, rows)`` — the wedges: index pairs (i, j), i < j
+  inside one CSR row, for all the given rows at once (``np.repeat`` /
+  ``cumsum``, no per-vertex Python loop), in chunks of about
+  ``_CHUNK_PAIRS`` pairs that end on row boundaries, so a task holds
+  O(E + chunk), never O(wedges).
+- ``_closed_wedges`` — those pairs membership-tested against the
+  sorted edge-key array, one ``searchsorted`` per chunk.
+
+New wedge kernels are written against these three. Two envelopes
+share them:
+
+- broadcast (``triangle_count_fast``, ``k4_count_fast``,
+  ``triad_triangle_census``, ``truss.edge_supports``): the canonical
+  edge-key array broadcasts once via ``ray.put`` and P tasks each take
+  a contiguous CSR row range of about equal wedge count
+  (``_row_ranges``) — fastest while the deduped edge set fits a node.
+- partitioned (``triangle_count``, ``truss.k_truss_partitioned``): the
+  >node-memory form. The edge set spills to K hash partitions (by the
+  lower endpoint), degree/rank state is the only O(V) driver piece,
+  and wedge keys (``_wedges_by_bucket``) flow worker-to-worker into
   the partition that owns their closing edge — no stage ever holds
   the full edge set, and no Ray Data join materialises the wedge
   stream (the join formulation measured 112x slower than the
@@ -19,10 +37,166 @@ O(sqrt(2m)); the standard skew fix):
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
+
+from .superstep import _tasks
+
+# wedges per ``_row_pairs`` chunk: bounds a task's transient arrays
+_CHUNK_PAIRS = 1 << 21
+
+
+def _canonical_edges(src, dst, n):
+    """The undirected, loop-free, deduped edge set of (src, dst) as
+    sorted keys ``lo * n + hi`` and their (lo, hi) endpoint arrays."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    nl = src != dst
+    keys = np.unique(np.minimum(src[nl], dst[nl]) * np.int64(n)
+                     + np.maximum(src[nl], dst[nl]))
+    return keys, keys // n, keys % n
+
+
+def _forward_csr(a, b, n):
+    """Degree-rank orientation of a deduped edge set (a, b) over vids
+    [0, n): rank vertices by (degree, vid) and point every edge at its
+    higher-rank endpoint. Returns ``(indptr, fsrc, fdst, pos)``: the
+    forward adjacency as a CSR sorted by (source, target) — so a row
+    pair i < j has ``fdst[i] < fdst[j]`` — and each vertex's rank."""
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.argsort(deg, kind="stable")] = np.arange(n)
+    fwd = pos[a] < pos[b]
+    fsrc = np.where(fwd, a, b)
+    fdst = np.where(fwd, b, a)
+    order = np.argsort(fsrc * np.int64(n) + fdst)   # keys are distinct
+    fsrc, fdst = fsrc[order], fdst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fsrc, minlength=n), out=indptr[1:])
+    return indptr, fsrc, fdst, pos
+
+
+def _seg_arange(counts):
+    """``arange(c)`` for each c of ``counts``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) - np.repeat(ends - counts, counts)
+
+
+def _row_pairs(indptr, rows):
+    """Every pair i < j of CSR positions inside one row of ``rows``, as
+    index arrays ``(i, j)``, row by row in ``rows`` order. Chunks hold
+    about ``_CHUNK_PAIRS`` pairs and end on a row boundary: one row's
+    pairs are never split (a row with more pairs is a chunk alone)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    deg = indptr[rows + 1] - indptr[rows]
+    rows, deg = rows[deg >= 2], deg[deg >= 2]
+    ends = np.cumsum(deg * (deg - 1) // 2)
+    lo = 0
+    while lo < len(rows):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _CHUNK_PAIRS, "right")),
+                 lo + 1)
+        d = deg[lo:hi] - 1                 # first elements per row
+        first = _seg_arange(d)
+        later = np.repeat(d, d) - first    # pairs (i, j > i) per i
+        i = np.repeat(np.repeat(indptr[rows[lo:hi]], d) + first, later)
+        yield i, i + 1 + _seg_arange(later)
+        lo = hi
+
+
+def _row_ranges(indptr, P):
+    """P contiguous CSR row ranges ``(lo, hi)`` holding about equal
+    wedge counts: the broadcast kernels' split into P tasks."""
+    deg = np.diff(indptr)
+    cum = np.cumsum(deg * (deg - 1) // 2)
+    total = int(cum[-1]) if len(cum) else 0
+    cuts = np.searchsorted(cum, total * np.arange(1, P) // P)
+    bounds = np.r_[0, cuts, len(deg)].tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _key_index(keys, u, v, n):
+    """Index in the sorted key array ``keys`` of each edge (u, v)."""
+    return np.searchsorted(keys, np.minimum(u, v) * np.int64(n)
+                           + np.maximum(u, v))
+
+
+def _closed_wedges(indptr, fdst, keys, n, rows):
+    """Per ``_row_pairs`` chunk of ``rows``: the wedges of the forward
+    CSR closed by an edge of ``keys`` (sorted ``lo * n + hi``), as
+    ``(i, j, idx)`` — the two forward-edge positions and the closing
+    edge's index in ``keys``."""
+    for i, j in _row_pairs(indptr, rows):
+        k = fdst[i] * np.int64(n) + fdst[j]    # rows ascend: lo * n + hi
+        idx = np.searchsorted(keys, k).clip(0, len(keys) - 1)
+        hit = keys[idx] == k
+        yield i[hit], j[hit], idx[hit]
+
+
+def _split_by(bucket, K, *cols):
+    """``cols`` cut into K parts by ``bucket`` (stable): a list of K
+    tuples, part k holding the rows with ``bucket == k``."""
+    order = np.argsort(bucket, kind="stable")
+    bounds = np.searchsorted(bucket[order], np.arange(K + 1))
+    cols = [c[order] for c in cols]
+    return [tuple(c[bounds[k]:bounds[k + 1]] for c in cols)
+            for k in range(K)]
+
+
+def _dedup_pairs(a, b):
+    """The distinct pairs (a, b), lexsorted by (a, b)."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])] \
+        if len(a) else np.empty(0, bool)
+    return a[first], b[first]
+
+
+def _rank_of(deg_parts):
+    """The partitioned plan's (degree, vid) order from per-bucket
+    ``(vids, counts)`` degree partials: the sorted vids and the rank
+    of each."""
+    verts = np.unique(np.concatenate([p[0] for p in deg_parts]))
+    deg = np.zeros(len(verts), dtype=np.int64)
+    for v, c in deg_parts:
+        deg[np.searchsorted(verts, v)] += c
+    pos = np.empty(len(verts), dtype=np.int64)
+    pos[np.lexsort((verts, deg))] = np.arange(len(verts))
+    return verts, pos
+
+
+def _forward_by_bucket(K, vp, edges):
+    """One edge bucket ``(a, b)`` oriented forward by the rank ``pos``
+    of the sorted ``verts`` (``vp = (verts, pos)``), split into K
+    parts ``(u, v)`` by source ``u % K``."""
+    verts, pos = vp
+    a, b = edges
+    fwd = pos[np.searchsorted(verts, a)] < pos[np.searchsorted(verts, b)]
+    u = np.where(fwd, a, b)
+    return _split_by(u % K, K, u, np.where(fwd, b, a))
+
+
+def _wedges_by_bucket(K, *parts):
+    """The wedges of the forward-edge parts ``(u, v)`` as ``(mid, lo,
+    hi)`` wedge keys, split into K parts by the closing key's bucket
+    ``lo % K``."""
+    u = np.concatenate([p[0] for p in parts])
+    v = np.concatenate([p[1] for p in parts])
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    indptr = np.flatnonzero(np.r_[True, u[1:] != u[:-1], True]) \
+        if len(u) else np.zeros(1, np.int64)
+    chunks = [(u[i], v[i], v[j]) for i, j in
+              _row_pairs(indptr, np.arange(len(indptr) - 1))]
+    mid, lo, hi = (np.concatenate([c[t] for c in chunks]) if chunks
+                   else np.empty(0, np.int64) for t in range(3))
+    return _split_by(lo % K, K, mid, lo, hi)
 
 
 def triangle_count(edges_ds, num_partitions=16, per_vertex=False,
@@ -37,39 +211,34 @@ def triangle_count(edges_ds, num_partitions=16, per_vertex=False,
     3. driver combines degrees (O(V)) into the (degree, vid) rank,
     4. K re-bucket tasks orient edges forward and ship them to their
        source vertex's bucket (worker-to-worker, ``num_returns=K``),
-    5. K wedge tasks enumerate forward-neighbour pairs per vertex and
-       ship each closing key (lo, hi) to bucket ``lo % K``,
+    5. K wedge tasks enumerate forward-neighbour pairs
+       (``_wedges_by_bucket``) and ship each closing key (lo, hi) to
+       bucket ``lo % K``,
     6. K close tasks membership-test wedge keys against their bucket's
        sorted edge keys.
+
+    A spill directory this call creates is removed once the buckets
+    are loaded; a caller's ``spill_dir`` is left in place.
 
     Partitioning assumption: vid key packing ``lo * n + hi`` needs
     ``n < 3e9`` in int64; beyond that swap for a two-level
     (searchsorted on lo, then hi) membership test.
     """
-    import os
-    import tempfile
     import pyarrow.dataset as pads
+    import ray.data as rd
 
     K = int(num_partitions)
+    owned = spill_dir is None
     spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_tri_")
 
     def orient(t: pa.Table) -> pa.Table:
         s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
         d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
         nl = s != d
-        a = np.minimum(s[nl], d[nl])
-        b = np.maximum(s[nl], d[nl])
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])] \
-            if len(a) else np.empty(0, bool)
-        a, b = a[first], b[first]
+        a, b = _dedup_pairs(np.minimum(s[nl], d[nl]),
+                            np.maximum(s[nl], d[nl]))
         return pa.table({"a": pa.array(a), "b": pa.array(b),
                          "part": pa.array((a % K).astype(np.int32))})
-
-    edges_ds.map_batches(orient, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .write_parquet(spill_dir, partition_cols=["part"])
 
     @ray.remote(num_returns=2)
     def load_bucket(k):
@@ -78,130 +247,63 @@ def triangle_count(edges_ds, num_partitions=16, per_vertex=False,
         if not os.path.isdir(d):
             return (e, e.copy()), (e.copy(), e.copy())
         t = pads.dataset(d).to_table(columns=["a", "b"])
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])] \
-            if len(a) else np.empty(0, bool)
-        a, b = a[first], b[first]
+        a, b = _dedup_pairs(
+            t["a"].to_numpy(zero_copy_only=False).astype(np.int64),
+            t["b"].to_numpy(zero_copy_only=False).astype(np.int64))
         v, c = np.unique(np.concatenate([a, b]), return_counts=True)
         return (a, b), (v, c)
 
-    outs = [load_bucket.remote(k) for k in range(K)]
-    edge_refs = [o[0] for o in outs]
-    deg_parts = ray.get([o[1] for o in outs])
+    try:
+        edges_ds.map_batches(orient, batch_format="pyarrow",
+                             zero_copy_batch=True) \
+            .write_parquet(spill_dir, partition_cols=["part"])
+        outs = [load_bucket.remote(k) for k in range(K)]
+        edge_refs = [o[0] for o in outs]
+        deg_parts = ray.get([o[1] for o in outs])
+    finally:
+        if owned:
+            shutil.rmtree(spill_dir, ignore_errors=True)
 
     # combine degrees -> (degree, vid) total order; O(V) driver state
-    verts = np.unique(np.concatenate([p[0] for p in deg_parts]))
-    deg = np.zeros(len(verts), dtype=np.int64)
-    for v, c in deg_parts:
-        deg[np.searchsorted(verts, v)] += c
-    rank_order = np.lexsort((verts, deg))
-    pos = np.empty(len(verts), dtype=np.int64)
-    pos[rank_order] = np.arange(len(verts))
+    verts, pos = _rank_of(deg_parts)
     n = int(verts.max()) + 1 if len(verts) else 1
-    vp_ref = ray.put((verts, pos, np.int64(n)))
+    vp_ref = ray.put((verts, pos))
 
-    @ray.remote
-    def forward_bucket(vp, edges):
-        verts_, pos_, _ = vp
-        a, b = edges
-        pa_ = pos_[np.searchsorted(verts_, a)]
-        pb_ = pos_[np.searchsorted(verts_, b)]
-        a_first = pa_ < pb_
-        u = np.where(a_first, a, b)
-        v = np.where(a_first, b, a)
-        bucket = u % K
-        order = np.argsort(bucket, kind="stable")
-        u, v, bucket = u[order], v[order], bucket[order]
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(u[bounds[k]:bounds[k + 1]], v[bounds[k]:bounds[k + 1]])
-                for k in range(K)]
-
-    fwd_refs = [forward_bucket.options(num_returns=K).remote(
-        vp_ref, edge_refs[k]) for k in range(K)]
-    if K == 1:
-        fwd_refs = [[r] for r in fwd_refs]
-
-    @ray.remote
-    def wedge_bucket(vp, *parts):
-        verts_, pos_, n_ = vp
-        u = np.concatenate([p[0] for p in parts])
-        v = np.concatenate([p[1] for p in parts])
-        pv = pos_[np.searchsorted(verts_, v)]
-        order = np.lexsort((pv, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]]) \
-            if len(u) else np.empty(0, np.int64)
-        ends = np.append(starts[1:], len(u))
-        mids, los, his = [], [], []
-        for s0, s1 in zip(starts, ends):
-            if s1 - s0 < 2:
-                continue
-            nb = v[s0:s1]
-            ii, jj = np.triu_indices(len(nb), k=1)
-            x, y = nb[ii], nb[jj]
-            mids.append(np.full(len(x), u[s0]))
-            los.append(np.minimum(x, y))
-            his.append(np.maximum(x, y))
-        if not mids:
-            e = np.empty(0, np.int64)
-            return [(e, e, e)] * K
-        mid = np.concatenate(mids)
-        lo = np.concatenate(los)
-        hi = np.concatenate(his)
-        bucket = lo % K
-        order = np.argsort(bucket, kind="stable")
-        mid, lo, hi, bucket = (mid[order], lo[order], hi[order],
-                               bucket[order])
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(mid[bounds[k]:bounds[k + 1]],
-                 lo[bounds[k]:bounds[k + 1]],
-                 hi[bounds[k]:bounds[k + 1]]) for k in range(K)]
-
-    wedge_refs = [wedge_bucket.options(num_returns=K).remote(
-        vp_ref, *[fwd_refs[j][k] for j in range(K)])
-        for k in range(K)]
-    if K == 1:
-        wedge_refs = [[r] for r in wedge_refs]
+    forward = _tasks(_forward_by_bucket, K, split=True)
+    fwd_refs = [forward(K, vp_ref, edge_refs[k]) for k in range(K)]
+    wedges = _tasks(_wedges_by_bucket, K, split=True)
+    wedge_refs = [wedges(K, *[fwd_refs[j][k] for j in range(K)])
+                  for k in range(K)]
 
     @ray.remote(num_returns=2)
-    def close_bucket(vp, edges, *wparts):
-        _, _, n_ = vp
+    def close_bucket(edges, *wparts):
         a, b = edges
-        keys = a * n_ + b          # sorted: edges lexsorted by (a, b)
-        mid = np.concatenate([p[0] for p in wparts])
-        lo = np.concatenate([p[1] for p in wparts])
-        hi = np.concatenate([p[2] for p in wparts])
+        keys = a * n + b           # sorted: edges lexsorted by (a, b)
+        mid, lo, hi = (np.concatenate([p[c] for p in wparts])
+                       for c in range(3))
+        e = np.empty(0, np.int64)
         if len(mid) == 0 or len(keys) == 0:
-            e = np.empty(0, np.int64)
             return 0, (e, e.copy())
-        wk = lo * n_ + hi
+        wk = lo * n + hi
         idx = np.searchsorted(keys, wk).clip(0, len(keys) - 1)
         hit = keys[idx] == wk
         if not per_vertex:
-            return int(hit.sum()), (np.empty(0, np.int64),
-                                    np.empty(0, np.int64))
+            return int(hit.sum()), (e, e.copy())
         tri_v = np.concatenate([mid[hit], lo[hit], hi[hit]])
         uv, cv = np.unique(tri_v, return_counts=True)
         return int(hit.sum()), (uv, cv.astype(np.int64))
 
-    closed = [close_bucket.remote(vp_ref, edge_refs[k],
+    closed = [close_bucket.remote(edge_refs[k],
                                   *[wedge_refs[j][k] for j in range(K)])
               for k in range(K)]
-    counts = ray.get([c[0] for c in closed])
-    total = int(sum(counts))
+    total = int(sum(ray.get([c[0] for c in closed])))
     if not per_vertex:
         return total
     pv_parts = ray.get([c[1] for c in closed])
-    allv = np.concatenate([p[0] for p in pv_parts])
-    allc = np.concatenate([p[1] for p in pv_parts])
-    uv = np.unique(allv)
+    uv = np.unique(np.concatenate([p[0] for p in pv_parts]))
     cv = np.zeros(len(uv), dtype=np.int64)
     for v, c in pv_parts:
         cv[np.searchsorted(uv, v)] += c
-    import ray.data as rd
     pv_ds = rd.from_arrow(pa.table({"v": pa.array(uv),
                                     "count()": pa.array(cv)}))
     return total, pv_ds
@@ -223,65 +325,34 @@ def triangle_count_fast(src, dst, n, P=16, per_vertex=False):
     drops from sum deg^2 to sum outdeg^2 — the standard skew fix for
     power-law graphs.
 
-    Wedge generation runs as P numpy tasks over source-partitioned
-    forward adjacency; closing membership tests run against the sorted
-    edge-key array broadcast once via ``ray.put`` (8 bytes/edge — for
-    corpora where the deduped edge set no longer fits a node, swap the
-    closing step for the hash-join variant in ``triangle_count``).
+    Wedge generation runs as P numpy tasks over row ranges of the
+    forward adjacency (``_closed_wedges`` over ``_row_ranges``);
+    closing membership tests run against the sorted edge-key array
+    broadcast once via ``ray.put`` (8 bytes/edge — for corpora where
+    the deduped edge set no longer fits a node, swap the closing step
+    for the hash-join variant in ``triangle_count``).
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    nl = src != dst
-    a = np.minimum(src[nl], dst[nl])
-    b = np.maximum(src[nl], dst[nl])
-    keys = np.unique(a * np.int64(n) + b)
-    a = (keys // n).astype(np.int64)
-    b = (keys % n).astype(np.int64)
-    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    # total order: (degree, vid)
-    rank = np.lexsort((np.arange(n), deg))
-    pos = np.empty(n, dtype=np.int64)
-    pos[rank] = np.arange(n)
-    fsrc = np.where(pos[a] < pos[b], a, b)
-    fdst = np.where(pos[a] < pos[b], b, a)
-    order = np.argsort(fsrc, kind="stable")
-    fsrc, fdst = fsrc[order], fdst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, fsrc + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    keys, a, b = _canonical_edges(src, dst, n)
+    indptr, fsrc, fdst, _ = _forward_csr(a, b, n)
     key_ref = ray.put(keys)
-    adj_ref = ray.put((indptr, fdst, pos))
+    adj_ref = ray.put((indptr, fsrc, fdst))
 
     @ray.remote
-    def count_part(p):
-        indptr_, fdst_, pos_ = ray.get(adj_ref)
+    def count_part(lo, hi):
+        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
         keys_ = ray.get(key_ref)
-        verts = np.arange(p, n, P)
         tri = 0
         pv = np.zeros(n, dtype=np.int64) if per_vertex else None
-        for u in verts:
-            nb = fdst_[indptr_[u]:indptr_[u + 1]]
-            if len(nb) < 2:
-                continue
-            # wedge pairs among forward neighbours, ordered by pos
-            o = np.argsort(pos_[nb])
-            nb = nb[o]
-            ii, jj = np.triu_indices(len(nb), k=1)
-            x, y = nb[ii], nb[jj]
-            lo = np.minimum(x, y)
-            hi = np.maximum(x, y)
-            k = lo * np.int64(n) + hi
-            idx = np.searchsorted(keys_, k).clip(0, len(keys_) - 1)
-            hit = keys_[idx] == k
-            cnt = int(hit.sum())
-            tri += cnt
-            if per_vertex and cnt:
-                pv[u] += cnt
-                np.add.at(pv, x[hit], 1)
-                np.add.at(pv, y[hit], 1)
+        for i, j, _ in _closed_wedges(indptr_, fdst_, keys_, n,
+                                      np.arange(lo, hi)):
+            tri += len(i)
+            if per_vertex:
+                pv += np.bincount(np.concatenate(
+                    [fsrc_[i], fdst_[i], fdst_[j]]), minlength=n)
         return tri, pv
 
-    results = ray.get([count_part.remote(p) for p in range(P)])
+    results = ray.get([count_part.remote(lo, hi) for lo, hi
+                        in _row_ranges(indptr, P)])
     total = sum(r[0] for r in results)
     if not per_vertex:
         return total
@@ -296,64 +367,47 @@ def k4_count_fast(src, dst, n, P=16):
     (degree, vid) rank as in ``triangle_count_fast``; each K4 has a
     unique minimum vertex u, and its other three members form a
     TRIANGLE inside u's forward neighbourhood — so K4 = sum over u of
-    triangles in the induced subgraph G[N+(u)]. Per vertex that
-    subgraph's edges are exactly the closed wedge pairs the triangle
-    kernel already finds; its triangles come from one small dense
-    matmul (|N+(u)| = O(sqrt(2m)) by the orientation, the same bound
-    that kills hub blowup for triangles). Same broadcast envelope as
+    triangles in the induced subgraph G[N+(u)]. That subgraph's edges
+    are exactly u's closed wedges (one ``_row_pairs`` chunk never
+    splits a row); its triangles come from one small dense matmul,
+    run only for the rows with >= 3 closed wedges (|N+(u)| =
+    O(sqrt(2m)) by the orientation, the same bound that kills hub
+    blowup for triangles). Same broadcast envelope as
     ``triangle_count_fast`` (sorted edge keys via ``ray.put``).
 
     Returns (n_triangles, n_k4)."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    nl = src != dst
-    a = np.minimum(src[nl], dst[nl])
-    b = np.maximum(src[nl], dst[nl])
-    keys = np.unique(a * np.int64(n) + b)
-    a = (keys // n).astype(np.int64)
-    b = (keys % n).astype(np.int64)
-    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    rank = np.lexsort((np.arange(n), deg))
-    pos = np.empty(n, dtype=np.int64)
-    pos[rank] = np.arange(n)
-    fsrc = np.where(pos[a] < pos[b], a, b)
-    fdst = np.where(pos[a] < pos[b], b, a)
-    order = np.argsort(fsrc, kind="stable")
-    fsrc, fdst = fsrc[order], fdst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, fsrc + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    keys, a, b = _canonical_edges(src, dst, n)
+    indptr, fsrc, fdst, _ = _forward_csr(a, b, n)
     key_ref = ray.put(keys)
-    adj_ref = ray.put((indptr, fdst))
+    adj_ref = ray.put((indptr, fsrc, fdst))
 
     @ray.remote
-    def count_part(p):
-        indptr_, fdst_ = ray.get(adj_ref)
+    def count_part(lo, hi):
+        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
         keys_ = ray.get(key_ref)
         tri = 0
         k4 = 0
-        for u in range(p, n, P):
-            nb = np.sort(fdst_[indptr_[u]:indptr_[u + 1]])
-            k = len(nb)
-            if k < 2:
-                continue
-            ii, jj = np.triu_indices(k, 1)
-            kk = nb[ii] * np.int64(n) + nb[jj]    # nb sorted: lo*n+hi
-            idx = np.searchsorted(keys_, kk).clip(0, len(keys_) - 1)
-            hit = keys_[idx] == kk
-            cnt = int(hit.sum())
-            tri += cnt
-            if cnt < 3 or k < 3:
-                continue
-            # triangles inside G[N+(u)]: one dense k x k matmul
-            A = np.zeros((k, k), dtype=np.int64)
-            A[ii[hit], jj[hit]] = 1
-            A |= A.T
-            M = A @ A
-            k4 += int(M[ii[hit], jj[hit]].sum()) // 3
+        for i, j, _ in _closed_wedges(indptr_, fdst_, keys_, n,
+                                      np.arange(lo, hi)):
+            tri += len(i)
+            # u's closed wedges are contiguous: pairs come row by row
+            u = fsrc_[i]
+            starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+            ends = np.r_[starts[1:], len(u)]
+            big = ends - starts >= 3
+            for s0, s1 in zip(starts[big], ends[big]):
+                # triangles inside G[N+(u)]: one dense k x k matmul
+                # (float64 is exact: entries are counts <= k)
+                off = indptr_[u[s0]]
+                k = int(indptr_[u[s0] + 1] - off)
+                ii, jj = i[s0:s1] - off, j[s0:s1] - off
+                A = np.zeros((k, k))
+                A[ii, jj] = A[jj, ii] = 1
+                k4 += int((A @ A)[ii, jj].sum()) // 3
         return tri, k4
 
-    results = ray.get([count_part.remote(p) for p in range(P)])
+    results = ray.get([count_part.remote(lo, hi) for lo, hi
+                        in _row_ranges(indptr, P)])
     return (sum(r[0] for r in results), sum(r[1] for r in results))
 
 
@@ -398,47 +452,21 @@ def triad_triangle_census(lo, hi, code, n, P=16):
     keys = lo * np.int64(n) + hi
     order = np.argsort(keys)
     keys, codes = keys[order], code[order]
-    a, b = lo[order], hi[order]
-    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    rank = np.lexsort((np.arange(n), deg))
-    pos = np.empty(n, dtype=np.int64)
-    pos[rank] = np.arange(n)
-    fsrc = np.where(pos[a] < pos[b], a, b)
-    fdst = np.where(pos[a] < pos[b], b, a)
-    o2 = np.argsort(fsrc, kind="stable")
-    fsrc, fdst = fsrc[o2], fdst[o2]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, fsrc + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    indptr, fsrc, fdst, _ = _forward_csr(lo, hi, n)
     key_ref = ray.put((keys, codes))
-    adj_ref = ray.put((indptr, fdst, pos))
-
-    def _code_of(keys_, codes_, u, v):
-        k = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
-        idx = np.searchsorted(keys_, k).clip(0, len(keys_) - 1)
-        return codes_[idx], keys_[idx] == k
+    adj_ref = ray.put((indptr, fsrc, fdst))
 
     @ray.remote
-    def census_part(p):
-        indptr_, fdst_, pos_ = ray.get(adj_ref)
+    def census_part(lo, hi):
+        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
         keys_, codes_ = ray.get(key_ref)
         l3 = np.zeros(7, dtype=np.int64)
         wd = np.zeros(6, dtype=np.int64)
-        for u in np.arange(p, n, P):
-            nb = fdst_[indptr_[u]:indptr_[u + 1]]
-            if len(nb) < 2:
-                continue
-            o = np.argsort(pos_[nb])
-            nb = nb[o]
-            ii, jj = np.triu_indices(len(nb), k=1)
-            x, y = nb[ii], nb[jj]
-            cxy, hit = _code_of(keys_, codes_, x, y)
-            if not hit.any():
-                continue
-            x, y, cxy = x[hit], y[hit], cxy[hit]
-            uu = np.full(len(x), u, dtype=np.int64)
-            cux, _ = _code_of(keys_, codes_, uu, x)
-            cuy, _ = _code_of(keys_, codes_, uu, y)
+        for i, j, idx in _closed_wedges(indptr_, fdst_, keys_, n,
+                                        np.arange(lo, hi)):
+            uu, x, y, cxy = fsrc_[i], fdst_[i], fdst_[j], codes_[idx]
+            cux = codes_[_key_index(keys_, uu, x, n)]
+            cuy = codes_[_key_index(keys_, uu, y, n)]
             # asym arc directions (True = first->second), valid
             # only where the dyad is not mutual
             fux = np.where(uu < x, cux == 1, cux == 2)
@@ -479,7 +507,8 @@ def triad_triangle_census(lo, hi, code, n, P=16):
                 np.add.at(wd, _corner_wedge_class(m_, i_, o_), 1)
         return l3, wd
 
-    results = ray.get([census_part.remote(p) for p in range(P)])
+    results = ray.get([census_part.remote(lo, hi) for lo, hi
+                        in _row_ranges(indptr, P)])
     l3 = np.zeros(7, dtype=np.int64)
     wd = np.zeros(6, dtype=np.int64)
     for r3, rw in results:

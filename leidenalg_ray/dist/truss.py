@@ -4,19 +4,25 @@ degree-ordered triangle plan.
 The k-truss is the maximal subgraph whose every edge closes >= k-2
 triangles inside the subgraph; it is computed by repeatedly dropping
 under-supported edges until a fixed point (cohesive-subgraph mining —
-Cohen 2008, public algorithm). Support counting reuses the
-compact-forward wedge enumeration of ``triangles.triangle_count_fast``
-(P numpy tasks over source-partitioned forward adjacency, closing
-membership against the sorted edge-key array broadcast once); each
-found triangle credits all three of its edges. For edge sets past a
-node's memory swap the closing step for the bucketed hash-join plan of
-``triangles.triangle_count`` exactly as the counting path does.
+Cohen 2008, public algorithm). Support counting runs on the one wedge
+path of ``triangles.py``: the degree-rank orientation
+``_forward_csr`` and the chunked wedge pairs ``_row_pairs`` (P numpy
+tasks over row ranges of equal wedge count, closing membership against
+the sorted edge-key array broadcast once); each found triangle credits
+all three of its edges. For edge sets past a node's memory
+``k_truss_partitioned`` runs the bucketed plan of
+``triangles.triangle_count`` on the same helpers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import ray
+
+from .superstep import _tasks
+from .triangles import (_canonical_edges, _closed_wedges, _forward_csr,
+                        _forward_by_bucket, _key_index, _rank_of,
+                        _row_ranges, _wedges_by_bucket)
 
 
 def edge_supports(a, b, n, P=8):
@@ -26,49 +32,26 @@ def edge_supports(a, b, n, P=8):
     keys = a * np.int64(n) + b
     # keys must be sorted for the membership test
     assert m < 2 or (keys[1:] > keys[:-1]).all()
-    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    rank = np.lexsort((np.arange(n), deg))
-    pos = np.empty(n, dtype=np.int64)
-    pos[rank] = np.arange(n)
-    fsrc = np.where(pos[a] < pos[b], a, b)
-    fdst = np.where(pos[a] < pos[b], b, a)
-    order = np.argsort(fsrc, kind="stable")
-    fsrc, fdst = fsrc[order], fdst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, fsrc + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    indptr, fsrc, fdst, _ = _forward_csr(a, b, n)
     key_ref = ray.put(keys)
-    adj_ref = ray.put((indptr, fdst))
+    adj_ref = ray.put((indptr, fsrc, fdst))
 
     @ray.remote
-    def support_part(p):
-        indptr_, fdst_ = ray.get(adj_ref)
+    def support_part(lo, hi):
+        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
         keys_ = ray.get(key_ref)
         cnt = np.zeros(len(keys_), dtype=np.int64)
-        for u in range(p, n, P):
-            nb = fdst_[indptr_[u]:indptr_[u + 1]]
-            if len(nb) < 2:
-                continue
-            ii, jj = np.triu_indices(len(nb), k=1)
-            x, y = nb[ii], nb[jj]
-            lo = np.minimum(x, y)
-            hi = np.maximum(x, y)
-            kclose = lo * np.int64(n) + hi
-            idx = np.searchsorted(keys_, kclose).clip(0, len(keys_) - 1)
-            hit = keys_[idx] == kclose
-            if not hit.any():
-                continue
-            np.add.at(cnt, idx[hit], 1)            # closing edge
-            for w in (x[hit], y[hit]):             # the two wedge edges
-                l2 = np.minimum(u, w)
-                h2 = np.maximum(u, w)
-                k2 = l2 * np.int64(n) + h2
-                i2 = np.searchsorted(keys_, k2)
-                np.add.at(cnt, i2, 1)
-            del hit
+        for i, j, idx in _closed_wedges(indptr_, fdst_, keys_, n,
+                                        np.arange(lo, hi)):
+            u = fsrc_[i]
+            # the closing edge and the two wedge edges
+            cnt += np.bincount(np.concatenate(
+                [idx, _key_index(keys_, u, fdst_[i], n),
+                 _key_index(keys_, u, fdst_[j], n)]), minlength=len(keys_))
         return cnt
 
-    parts = ray.get([support_part.remote(p) for p in range(P)])
+    parts = ray.get([support_part.remote(lo, hi) for lo, hi
+                      in _row_ranges(indptr, P)])
     out = parts[0].copy()    # plasma arrays are read-only views
     for c in parts[1:]:
         out += c
@@ -78,14 +61,7 @@ def edge_supports(a, b, n, P=8):
 def k_truss(src, dst, n, k, P=8, max_rounds=1_000):
     """Edges of the k-truss of the (deduped, loop-free) undirected
     graph, as sorted (a, b) arrays, plus the peel round count."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    nl = src != dst
-    a = np.minimum(src[nl], dst[nl])
-    b = np.maximum(src[nl], dst[nl])
-    keys = np.unique(a * np.int64(n) + b)
-    a = (keys // n).astype(np.int64)
-    b = (keys % n).astype(np.int64)
+    _, a, b = _canonical_edges(src, dst, n)
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         if len(a) == 0:
@@ -111,14 +87,7 @@ def k_truss_partitioned(src, dst, n, k, K=8, max_rounds=1_000):
     Returns (a, b, rounds) like ``k_truss`` (driver-side result
     arrays; write per-bucket outputs directly at real scale).
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    nl = src != dst
-    a = np.minimum(src[nl], dst[nl])
-    b = np.maximum(src[nl], dst[nl])
-    keys = np.unique(a * np.int64(n) + b)
-    a = (keys // n).astype(np.int64)
-    b = (keys % n).astype(np.int64)
+    _, a, b = _canonical_edges(src, dst, n)
     # initial buckets (sorted within bucket by key, for membership)
     edge_refs = []
     for kk in range(K):
@@ -130,56 +99,6 @@ def k_truss_partitioned(src, dst, n, k, K=8, max_rounds=1_000):
         ea, eb = edges
         v, c = np.unique(np.concatenate([ea, eb]), return_counts=True)
         return v, c
-
-    @ray.remote
-    def forward(vp, edges):
-        verts_, pos_ = vp
-        ea, eb = edges
-        pa_ = pos_[np.searchsorted(verts_, ea)]
-        pb_ = pos_[np.searchsorted(verts_, eb)]
-        af = pa_ < pb_
-        u = np.where(af, ea, eb)
-        v = np.where(af, eb, ea)
-        bucket = u % K
-        order = np.argsort(bucket, kind="stable")
-        u, v, bucket = u[order], v[order], bucket[order]
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(u[bounds[i]:bounds[i + 1]], v[bounds[i]:bounds[i + 1]])
-                for i in range(K)]
-
-    @ray.remote
-    def wedges(*parts):
-        u = np.concatenate([p[0] for p in parts])
-        v = np.concatenate([p[1] for p in parts])
-        order = np.argsort(u, kind="stable")
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]]) \
-            if len(u) else np.empty(0, np.int64)
-        ends = np.append(starts[1:], len(u))
-        mids, los, his = [], [], []
-        for s0, s1 in zip(starts, ends):
-            if s1 - s0 < 2:
-                continue
-            nb = v[s0:s1]
-            ii, jj = np.triu_indices(len(nb), k=1)
-            x, y = nb[ii], nb[jj]
-            mids.append(np.full(len(x), u[s0]))
-            los.append(np.minimum(x, y))
-            his.append(np.maximum(x, y))
-        if not mids:
-            e = np.empty(0, np.int64)
-            return [(e, e, e)] * K
-        mid = np.concatenate(mids)
-        lo = np.concatenate(los)
-        hi = np.concatenate(his)
-        bucket = lo % K
-        order = np.argsort(bucket, kind="stable")
-        mid, lo, hi, bucket = (mid[order], lo[order], hi[order],
-                               bucket[order])
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(mid[bounds[i]:bounds[i + 1]],
-                 lo[bounds[i]:bounds[i + 1]],
-                 hi[bounds[i]:bounds[i + 1]]) for i in range(K)]
 
     @ray.remote
     def close(edges, *wparts):
@@ -219,28 +138,18 @@ def k_truss_partitioned(src, dst, n, k, K=8, max_rounds=1_000):
         keep = sup >= k - 2
         return (ea[keep], eb[keep]), int((~keep).sum())
 
+    forward = _tasks(_forward_by_bucket, K, split=True)
+    wedges = _tasks(_wedges_by_bucket, K, split=True)
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         deg_parts = ray.get([degrees.remote(edge_refs[i])
                              for i in range(K)])
         if not any(len(p[0]) for p in deg_parts):
             break
-        verts = np.unique(np.concatenate([p[0] for p in deg_parts]))
-        deg = np.zeros(len(verts), dtype=np.int64)
-        for v, c in deg_parts:
-            deg[np.searchsorted(verts, v)] += c
-        rank = np.lexsort((verts, deg))
-        pos = np.empty(len(verts), dtype=np.int64)
-        pos[rank] = np.arange(len(verts))
-        vp_ref = ray.put((verts, pos))
-        fwd = [forward.options(num_returns=K).remote(
-            vp_ref, edge_refs[i]) for i in range(K)]
-        if K == 1:
-            fwd = [[r] for r in fwd]
-        wref = [wedges.options(num_returns=K).remote(
-            *[fwd[j][i] for j in range(K)]) for i in range(K)]
-        if K == 1:
-            wref = [[r] for r in wref]
+        vp_ref = ray.put(_rank_of(deg_parts))
+        fwd = [forward(K, vp_ref, edge_refs[i]) for i in range(K)]
+        wref = [wedges(K, *[fwd[j][i] for j in range(K)])
+                for i in range(K)]
         cref = [close.options(num_returns=K + 1).remote(
             edge_refs[i], *[wref[j][i] for j in range(K)])
             for i in range(K)]

@@ -1875,6 +1875,24 @@ def test_redirect_pointer_doubling_matches_serial():
     assert h2[np.argsort(v2)][0] == 5000
 
 
+def test_redirects_single_partition_matches_three():
+    """One partition resolves the same chains as three (the per-owner
+    query split hands back a list of refs at any P)."""
+    from leidenalg_ray.dist.redirects import resolve_redirects
+
+    rng = np.random.default_rng(12)
+    srcs = rng.choice(200, size=120, replace=False).astype(np.int64)
+    dsts = rng.integers(0, 200, size=120).astype(np.int64)
+    outs = []
+    for P in (1, 3):
+        vid, fin, hops = resolve_redirects(srcs, dsts, P=P, rounds=20)
+        order = np.argsort(vid)
+        outs.append((vid[order], fin[order], hops[order]))
+    assert len(outs[0][0]) > 0
+    for a, b in zip(*outs):
+        assert np.array_equal(a, b)
+
+
 # ----------------------------------------------------------------------
 # Greedy maximal matching (locally-dominant edges)
 # ----------------------------------------------------------------------

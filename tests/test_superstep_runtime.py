@@ -174,8 +174,7 @@ OTHER = {
 
 @pytest.fixture(scope="module")
 def loop_free():
-    """Loop-free graphs at P = 1 and 3 (Luby-style kernels never
-    select a vertex with a self-loop)."""
+    """Loop-free graphs at P = 1 and 3."""
     rng = np.random.default_rng(5)
     n = 90
     src, dst = rng.integers(0, n, 220), rng.integers(0, n, 220)
@@ -200,6 +199,25 @@ def test_single_partition_matches_three(name, loop_free):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
         else:
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_luby_kernels_skip_self_loops(P):
+    """A vertex is not its own neighbour: on ``0-1, 1-2, 2-2`` the
+    Luby MIS and the MIS-layer colouring terminate with a valid
+    answer, the looped vertex included."""
+    src, dst = np.array([0, 1, 2]), np.array([1, 2, 2])
+    g = DistGraph.from_edges(src, dst, n=3, P=P, both_directions=True)
+    state, rounds = ss.luby_mis(g)
+    assert rounds < 64
+    mis = state == 1
+    assert set(state.tolist()) <= {1, 2}
+    assert not (mis[:2] & mis[1:]).any()          # independent
+    assert mis[0] or mis[1]                       # 0 is covered
+    assert mis[1] or mis[2]                       # 2 is covered
+    colors, n_colors = ss.mis_coloring(g)
+    assert (colors >= 0).all() and n_colors == 2
+    assert colors[0] != colors[1] and colors[1] != colors[2]
 
 
 @pytest.mark.parametrize("P", [0, -2])
