@@ -86,6 +86,28 @@ def _build_block(src, dst, weight, P):
     }
 
 
+def _edge_block(p, P, n, both_directions, src, dst, weight):
+    """Block p of ``DistGraph.from_edges`` and its out-degree and
+    out-strength shards: the rows with ``src % P == p`` (weight None:
+    ones), then with ``both_directions`` the reversed non-loop rows
+    with ``dst % P == p``, in input order."""
+    if weight is None:
+        weight = np.ones(len(src))
+    m = (src % P) == p
+    sp, dp, wp = src[m], dst[m], weight[m]
+    if both_directions:
+        mr = ((dst % P) == p) & (src != dst)
+        sp = np.concatenate([sp, dst[mr]])
+        dp = np.concatenate([dp, src[mr]])
+        wp = np.concatenate([wp, weight[mr]])
+    size = part_sizes(n, P)[p]
+    deg = np.zeros(size, dtype=np.int64)
+    stg = np.zeros(size)
+    np.add.at(deg, sp // P, 1)
+    np.add.at(stg, sp // P, wp)
+    return _build_block(sp, dp, wp, P), deg, stg
+
+
 class DistGraph:
     """P CSR blocks + per-partition degree/strength shards, all in the
     object store."""
@@ -154,56 +176,36 @@ class DistGraph:
 
     # ------------------------------------------------------------------
     @classmethod
-    def _from_edge_arrays(cls, src, dst, weight, n, P, directed):
-        """Block construction runs as P parallel tasks against the
-        edge arrays put once in the object store (the per-partition
-        sort is the expensive part — serial driver-side construction
-        was a flat cost that capped scaling)."""
-        sizes = part_sizes(n, P)
-        src_ref = ray.put(src)
-        dst_ref = ray.put(dst)
-        w_ref = ray.put(weight)
+    def from_edges(cls, src, dst, weight=None, n=None, P=8, directed=True,
+                   both_directions=False):
+        """both_directions: store each non-loop edge in both source
+        partitions (needed by undirected gather kernels: CC, LP,
+        undirected PageRank).
 
-        @ray.remote(num_returns=3)
-        def build(p, s, d, w):
-            m = (s % P) == p
-            sp, dp, wp = s[m], d[m], w[m]
-            deg = np.zeros(sizes[p], dtype=np.int64)
-            stg = np.zeros(sizes[p])
-            np.add.at(deg, sp // P, 1)
-            np.add.at(stg, sp // P, wp)
-            return _build_block(sp, dp, wp, P), deg, stg
-
-        outs = [build.remote(p, src_ref, dst_ref, w_ref)
-                for p in range(P)]
+        Block construction runs as P parallel ``_edge_block`` tasks
+        against the edge arrays put once in the object store (the
+        per-partition sort is the expensive part — serial driver-side
+        construction was a flat cost that capped scaling). The reversed
+        rows and default weights are made inside the tasks, so the
+        driver never holds doubled arrays."""
+        _check_partitions(P)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if n is None:
+            n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+        if weight is not None:
+            weight = np.asarray(weight, dtype=np.float64)
+        from .superstep import _tasks    # superstep imports this module
+        launch = _tasks(_edge_block, num_returns=3)
+        refs = [ray.put(src), ray.put(dst),
+                None if weight is None else ray.put(weight)]
+        outs = [launch(p, P, n, both_directions, *refs) for p in range(P)]
         blocks = [o[0] for o in outs]
         degs = [o[1] for o in outs]
         strengths = [o[2] for o in outs]
         # surface any build error now rather than at first superstep
         ray.wait(blocks, num_returns=len(blocks))
         return cls(n, P, directed, blocks, degs, strengths)
-
-    @classmethod
-    def from_edges(cls, src, dst, weight=None, n=None, P=8, directed=True,
-                   both_directions=False):
-        """both_directions: store each non-loop edge in both source
-        partitions (needed by undirected gather kernels: CC, LP,
-        undirected PageRank)."""
-        _check_partitions(P)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if n is None:
-            n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-        if weight is None:
-            weight = np.ones(len(src))
-        weight = np.asarray(weight, dtype=np.float64)
-        if both_directions:
-            nl = src != dst
-            src2 = np.concatenate([src, dst[nl]])
-            dst2 = np.concatenate([dst, src[nl]])
-            weight2 = np.concatenate([weight, weight[nl]])
-            src, dst, weight = src2, dst2, weight2
-        return cls._from_edge_arrays(src, dst, weight, n, P, directed)
 
     @classmethod
     def from_dataset(cls, edges_ds, n, P=8, directed=True,
@@ -219,12 +221,17 @@ class DistGraph:
         hashes to the same src%P partition, so partition-local dedup is
         exact — it replaces a whole groupby shuffle (~12 s of fixed
         Ray-Data aggregate overhead at sandbox scale) with one
-        vectorised lexsort per partition."""
+        vectorised lexsort per partition.
+
+        A spill directory this call creates is removed once the blocks
+        are built; a caller's ``spill_dir`` is left in place."""
         import os
+        import shutil
         import tempfile
         import pyarrow as pa
 
         _check_partitions(P)
+        owned = spill_dir is None
         spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_edges_")
         os.makedirs(spill_dir, exist_ok=True)
 
@@ -238,10 +245,6 @@ class DistGraph:
                                else pa.array(np.ones(len(src))))}
             cols["part"] = pa.array(part)
             return pa.table(cols)
-
-        ds = edges_ds.map_batches(with_part, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-        ds.write_parquet(spill_dir, partition_cols=["part"])
 
         @ray.remote
         def build(p):
@@ -275,7 +278,16 @@ class DistGraph:
             np.add.at(stg, src // P, w)
             return _build_block(src, dst, w, P), deg, stg
 
-        results = [build.options(num_returns=3).remote(p) for p in range(P)]
+        try:
+            edges_ds.map_batches(with_part, batch_format="pyarrow",
+                                 zero_copy_batch=True) \
+                .write_parquet(spill_dir, partition_cols=["part"])
+            results = [build.options(num_returns=3).remote(p)
+                       for p in range(P)]
+            ray.wait([r[0] for r in results], num_returns=P)
+        finally:
+            if owned:
+                shutil.rmtree(spill_dir, ignore_errors=True)
         blocks = [r[0] for r in results]
         degs = [r[1] for r in results]
         strengths = [r[2] for r in results]

@@ -26,6 +26,29 @@ against one runtime of private helpers:
   and metrics after each superstep (``checkpoint.py``), then
   ``_finish``. It reports the supersteps completed, resumed ones
   included.
+- ``_changes(g, gather, reduce, frontier)`` — the ``_fixed_point``
+  step of the kernels that run until no vertex changes. Their reduce
+  returns ``_changed``'s (state, changed mask, #changed); the masks
+  stay refs that flow worker to worker, never through the driver and
+  never into a checkpoint. From the second superstep on, ``frontier``
+  cuts each gather's block (``_select``) to the edges whose message
+  can differ from the last superstep's:
+
+  - ``"push"`` (min / max through ``_combine``): the edges whose
+    source changed. A destination with no message keeps the fill,
+    which the combine leaves unchanged, so the result is exact.
+  - ``"pull"`` (label propagation, whose plurality needs every
+    in-edge of a destination): one light exchange marks the
+    destinations with a changed in-neighbour, then the gather keeps
+    the edges into marked destinations. Every other destination's
+    in-neighbours kept their labels, so the synchronous rule gives it
+    its label again, which ``_plurality`` leaves in place.
+  - ``None`` (k-core's summed degree): every edge, every superstep.
+
+  The first superstep, the first after a resume included, gathers
+  every edge, so outputs, superstep counts and checkpoints are those
+  of full gathers. A new min / max kernel gets the push frontier by
+  passing ``_combine`` and ``"push"``.
 
 So a kernel is its initial state, its per-edge message and its
 combine. Shard work runs as stateless tasks of two module-level
@@ -99,10 +122,14 @@ def _by_dest(block, *per_edge):
 
 
 def _select(block, keep):
-    """The block's destination columns cut to the edges where ``keep``
-    is set, for a masked message set."""
+    """The block cut to the edges where ``keep`` is set (the columns a
+    gather reads), for a masked message set."""
+    if keep.all():
+        return block
     pos = np.concatenate(([0], np.cumsum(keep)))
-    return {"dst_local": block["dst_local"][keep],
+    return {"src_local": block["src_local"][keep],
+            "dst_local": block["dst_local"][keep],
+            "weight": block["weight"][keep],
             "dst_offsets": pos[block["dst_offsets"]]}
 
 
@@ -168,10 +195,69 @@ def _settled(metrics):
     return metrics.get("changed", -1) == 0
 
 
-def _changes(g, gather, reduce):
-    """``_fixed_point`` step for a reduce returning (state, #changed)."""
+def _changed(new, old):
+    """A frontier reduce's outputs: ``new``, the mask of the vertices
+    whose state changed (in any column of a 2-D state) and their
+    count."""
+    changed = new != old
+    if changed.ndim > 1:
+        changed = changed.any(axis=1)
+    return new, changed, int(changed.sum())
+
+
+def _push(gather):
+    """``gather`` on the block cut to the edges whose source changed in
+    the last superstep (``changed`` None: every edge)."""
+    def cut(block, state, changed):
+        if changed is not None:
+            block = _select(block, changed[block["src_local"]])
+        return gather(block, state)
+    return cut
+
+
+def _pull(gather):
+    """``gather`` on the block cut to the edges into marked
+    destinations (``marks``: one mask per destination partition, or P
+    Nones for every edge)."""
+    def cut(block, state, *marks):
+        if marks[0] is not None:
+            block = _select(block, np.concatenate(
+                [m[dl] for m, (dl,) in zip(marks, _by_dest(block))]))
+        return gather(block, state)
+    return cut
+
+
+def _mark_gather(sizes):
+    """Gather marking the destinations of edges from changed sources."""
+    def gather(block, changed):
+        block = _select(block, changed[block["src_local"]])
+        return _scatter(block, np.ones(len(block["dst_local"]), bool),
+                        sizes, np.logical_or, False, bool)
+    return gather
+
+
+def _changes(g, gather, reduce, frontier=None):
+    """``_fixed_point`` step for a reduce returning ``_changed``'s
+    outputs, with the ``frontier`` cut of the module docstring."""
+    P = g.P
+    gather = {None: gather, "push": _push(gather),
+              "pull": _pull(gather)}[frontier]
+    masks = None    # the last superstep's changed masks (None: first)
+
     def step(refs, _):
-        refs, changed = _exchange(g, gather, reduce, refs)
+        nonlocal masks
+        if frontier == "push":
+            args = ([None] * P if masks is None else masks,)
+        elif frontier == "pull":
+            marks = [None] * P if masks is None else _exchange(
+                g, _mark_gather(g.sizes),
+                lambda _, *incoming: _fold(incoming, np.logical_or),
+                masks, num_returns=1)
+            args = tuple([m] * P for m in marks)
+        else:
+            args = ()
+        refs, masks, changed = _exchange(g, gather, reduce, refs, args,
+                                         num_returns=3)
         return refs, {"changed": changed}
     return step
 
@@ -187,13 +273,9 @@ def _fold(arrays, ufunc=np.add):
 
 def _combine(ufunc):
     """Reduce of an order-free combine (min / max): fold the incoming
-    messages into the old state; metric = #vertices changed."""
+    messages into the old state; outputs as ``_changed``."""
     def reduce(old, *incoming):
-        new = _fold((old,) + incoming, ufunc)
-        changed = new != old
-        if changed.ndim > 1:
-            changed = changed.any(axis=1)
-        return new, int(changed.sum())
+        return _changed(_fold((old,) + incoming, ufunc), old)
     return reduce
 
 
@@ -459,7 +541,7 @@ def connected_components(g: DistGraph, max_iter=10_000, checkpoint=None,
         label_refs = [ray.put(np.arange(p, n, P, dtype=np.int64))
                       for p in range(P)]
     return _fixed_point(g, "cc", label_refs,
-                        _changes(g, gather, _combine(np.minimum)),
+                        _changes(g, gather, _combine(np.minimum), "push"),
                         _settled, max_iter, checkpoint, result_out,
                         "component")
 
@@ -486,7 +568,7 @@ def bfs_distances(g: DistGraph, sources, max_iter=10_000,
 
     return _fixed_point(g, "bfs",
                         _seed_shards(sizes, g.P, sources, 0, BIG, np.int64),
-                        _changes(g, gather, _combine(np.minimum)),
+                        _changes(g, gather, _combine(np.minimum), "push"),
                         _settled, max_iter, checkpoint, result_out, "dist")
 
 
@@ -510,7 +592,7 @@ def sssp(g: DistGraph, sources, max_iter=10_000, checkpoint=None,
     return _fixed_point(g, "sssp",
                         _seed_shards(sizes, g.P, sources, 0.0, np.inf,
                                      np.float64),
-                        _changes(g, gather, _combine(np.minimum)),
+                        _changes(g, gather, _combine(np.minimum), "push"),
                         _settled, max_iter, checkpoint, result_out, "dist")
 
 
@@ -643,8 +725,8 @@ def dag_longest_path(g: DistGraph, max_iter=10_000, checkpoint=None,
     depth_refs, steps, metrics = _fixed_point(
         g, "dag_longest_path",
         [ray.put(np.zeros(s, np.int64)) for s in sizes],
-        _changes(g, gather, _combine(np.maximum)), _settled, max_iter,
-        checkpoint, None, None)
+        _changes(g, gather, _combine(np.maximum), "push"), _settled,
+        max_iter, checkpoint, None, None)
     if not _settled(metrics):
         raise RuntimeError(
             "dag_longest_path did not converge in %d supersteps — "
@@ -698,8 +780,7 @@ def _kcore_shards(g: DistGraph, k, alive_refs=None, max_iter=10_000,
     refs so callers (``kcore``, ``coreness``) can compose levels
     without ever assembling an O(n) array on the driver."""
     def reduce(old, *incoming):
-        new = old & (_fold(incoming) >= k)
-        return new, int((new != old).sum())
+        return _changed(old & (_fold(incoming) >= k), old)
 
     # default start: the active vertex set (vertices with >= 1 edge)
     if alive_refs is None:
@@ -976,14 +1057,26 @@ def _plurality(old, incoming, base):
         d, l, tot = _label_sums(
             dl, np.concatenate([x[1] for x in incoming]),
             np.concatenate([x[2] for x in incoming]), base)
-        # argmax weight per dst, ties -> lowest label: sort by
-        # (dst, -weight, label) and take the first row per dst
-        order = np.lexsort((l, -tot, d))
-        d_s, l_s = d[order], l[order]
-        first = np.ones(len(d_s), dtype=bool)
-        first[1:] = d_s[1:] != d_s[:-1]
-        new[d_s[first]] = l_s[first]
+        # rows are sorted by (dst, label): per dst, the first row
+        # whose weight is the dst's maximum (no second sort)
+        starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+        top = np.flatnonzero(tot == np.repeat(
+            np.maximum.reduceat(tot, starts), np.diff(np.r_[starts, len(d)])))
+        top = top[np.r_[True, d[top[1:]] != d[top[:-1]]]]
+        new[d[top]] = l[top]
     return new
+
+
+def _label_gather(weighted, base):
+    """Gather of the per-(dst, label) partial weight sums of the edges
+    from labelled sources (label >= 0), per destination partition."""
+    def gather(block, label):
+        block = _select(block, label[block["src_local"]] >= 0)
+        lab = label[block["src_local"]]
+        w = block["weight"] if weighted else np.ones(len(lab))
+        return [_label_sums(dl, lb, ww, base)
+                for dl, lb, ww in _by_dest(block, lab, w)]
+    return gather
 
 
 def label_propagation(g: DistGraph, max_iter=100, weighted=True,
@@ -991,25 +1084,20 @@ def label_propagation(g: DistGraph, max_iter=100, weighted=True,
     """Synchronous supersteps; each vertex adopts the neighbour label
     with the highest total edge weight (ties: lowest label); vertices
     with no neighbours keep their label. Fixed point or max_iter.
-    Blocks must hold both directions for undirected semantics."""
+    Blocks must hold both directions for undirected semantics. The
+    gathers after the first superstep pull only the in-edges of
+    vertices with a changed neighbour (module docstring)."""
     P, n = g.P, g.n
 
-    def gather(block, label):
-        # per-(dst,label) partial weight sums inside the task
-        lab = label[block["src_local"]]
-        w = block["weight"] if weighted else np.ones(len(lab))
-        return [_label_sums(dl, lb, ww, n + 1)
-                for dl, lb, ww in _by_dest(block, lab, w)]
-
     def reduce(old, *incoming):
-        new = _plurality(old, incoming, n + 1)
-        return new, int((new != old).sum())
+        return _changed(_plurality(old, incoming, n + 1), old)
 
     label_refs = [ray.put(np.arange(p, n, P, dtype=np.int64))
                   for p in range(P)]
     return _fixed_point(g, "labelprop", label_refs,
-                        _changes(g, gather, reduce), _settled, max_iter,
-                        checkpoint, result_out, "label")
+                        _changes(g, _label_gather(weighted, n + 1), reduce,
+                                 "pull"),
+                        _settled, max_iter, checkpoint, result_out, "label")
 
 
 def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
@@ -1031,12 +1119,7 @@ def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
     # may exceed n
     L = int(max(n, seed_labels.max(initial=0) + 1, 2))
 
-    def gather(block, label):
-        lab = label[block["src_local"]]
-        keep = lab >= 0
-        w = block["weight"] if weighted else np.ones(len(lab))
-        return [_label_sums(dl, lb, ww, L) for dl, lb, ww in
-                _by_dest(_select(block, keep), lab[keep], w[keep])]
+    gather = _label_gather(weighted, L)
 
     def reduce(old, fixed, *incoming):
         new = _plurality(old, incoming, L)
@@ -1452,16 +1535,14 @@ def multi_bfs(g: DistGraph, sources, max_iter=10_000):
             if s % P == p:
                 shard[s // P, i] = 0
         dist_refs.append(ray.put(shard))
-    it = 0
-    for it in range(max_iter):
-        dist_refs, changed = _exchange(g, gather, _combine(np.minimum),
-                                       dist_refs)
-        if changed == 0:
-            break
+    dist_refs, steps, _ = _fixed_point(
+        g, "multi_bfs", dist_refs,
+        _changes(g, gather, _combine(np.minimum), "push"), _settled,
+        max_iter, None, None, None)
     out = np.full((k, n), BIG, dtype=np.int64)
     for p in range(P):
         out[:, p::P] = ray.get(dist_refs[p]).T
-    return out, it + 1
+    return out, steps
 
 
 def _spath_shards(g: DistGraph, source, max_depth=64):
@@ -1472,10 +1553,9 @@ def _spath_shards(g: DistGraph, source, max_depth=64):
     P, sizes = g.P, g.sizes
 
     def gather(block, dist, sigma, d):
-        src = block["src_local"]
-        on = dist[src] == d
-        return _scatter(_select(block, on), sigma[src[on]], sizes,
-                        np.add, 0, np.int64)
+        block = _select(block, dist[block["src_local"]] == d)
+        return _scatter(block, sigma[block["src_local"]], sizes, np.add,
+                        0, np.int64)
 
     def reduce(dist, sigma, d, *incoming):
         total = _fold(incoming)
@@ -2073,7 +2153,7 @@ def hyperanf(g: DistGraph, rounds=8, result_out=None,
     resume contract).
     """
     P = g.P
-    gather = _hll_gather(g.sizes)
+    merge = _changes(g, _hll_gather(g.sizes), _combine(np.maximum), "push")
 
     def nf_of(reg_refs):
         return int(sum(ray.get(_map(lambda r: int(_hll_est_q(r).sum()),
@@ -2081,9 +2161,8 @@ def hyperanf(g: DistGraph, rounds=8, result_out=None,
 
     def step(reg_refs, metrics):
         nf = [int(v) for v in metrics.get("nf") or [nf_of(reg_refs)]]
-        reg_refs, changed = _exchange(g, gather, _combine(np.maximum),
-                                      reg_refs)
-        return reg_refs, {"changed": changed, "nf": nf + [nf_of(reg_refs)]}
+        reg_refs, m = merge(reg_refs, metrics)
+        return reg_refs, {**m, "nf": nf + [nf_of(reg_refs)]}
 
     reg_refs, t, metrics = _fixed_point(
         g, "hyperanf", _map(_hll_init, g.active_masks()[0], range(P),
@@ -2125,7 +2204,7 @@ def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
         raise ValueError(f"unknown weight mode {weight!r}")
     P = g.P
     harmonic = weight == "harmonic"
-    gather, fold = _hll_gather(g.sizes), _combine(np.maximum)
+    gather, fold = _push(_hll_gather(g.sizes)), _combine(np.maximum)
 
     def init(mask, p):
         reg = _hll_init(mask, p, P)
@@ -2134,7 +2213,7 @@ def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
         return reg, _hll_est_q(reg), np.zeros(len(mask), dtype=np.int64)
 
     def reduce(old, prev_q, acc, t, *incoming):
-        new, changed = fold(old, *incoming)
+        new, changed, count = fold(old, *incoming)
         new_q = _hll_est_q(new)
         if harmonic:
             # float accumulator, fixed t-order (matches the serial
@@ -2144,15 +2223,16 @@ def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
             # EXACT integer accumulator: sum of Δq * t is
             # order-free, so an SQL twin can sum it as integers
             acc = acc + (new_q - prev_q) * t
-        return new, new_q, acc, changed
+        return new, new_q, acc, changed, count
 
     reg_refs, prev_refs, acc_refs = _map(init, g.active_masks()[0],
                                          range(P), num_returns=3)
+    masks = [None] * P      # first round: every edge (``_changes``)
     t = 0
     for t in range(1, rounds + 1):
-        reg_refs, prev_refs, acc_refs, changed = _exchange(
-            g, gather, reduce, reg_refs,
-            reduce_args=(prev_refs, acc_refs, [t] * P), num_returns=4)
+        reg_refs, prev_refs, acc_refs, masks, changed = _exchange(
+            g, gather, reduce, reg_refs, (masks,),
+            (prev_refs, acc_refs, [t] * P), num_returns=5)
         if changed == 0:
             break
     col = "harmonic_est" if harmonic else "sumdist_est"

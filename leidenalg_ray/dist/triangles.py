@@ -22,9 +22,11 @@ share them:
 
 - broadcast (``triangle_count_fast``, ``k4_count_fast``,
   ``triad_triangle_census``, ``truss.edge_supports``): the canonical
-  edge-key array broadcasts once via ``ray.put`` and P tasks each take
-  a contiguous CSR row range of about equal wedge count
-  (``_row_ranges``) — fastest while the deduped edge set fits a node.
+  edge-key array is stored once in the object store (for the first
+  two made, with the forward CSR, by one ``_broadcast_csr`` task) and
+  P tasks each take a contiguous CSR row range of about equal wedge
+  count (``_row_ranges``) — fastest while the deduped edge set fits
+  a node.
 - partitioned (``triangle_count``, ``truss.k_truss_partitioned``): the
   >node-memory form. The edge set spills to K hash partitions (by the
   lower endpoint), degree/rank state is the only O(V) driver piece,
@@ -119,6 +121,22 @@ def _row_ranges(indptr, P):
     cuts = np.searchsorted(cum, total * np.arange(1, P) // P)
     bounds = np.r_[0, cuts, len(deg)].tolist()
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _broadcast_csr(src, dst, n, P):
+    """The broadcast kernels' inputs, made in one task: the canonical
+    edge keys, the forward CSR ``(indptr, fsrc, fdst)`` and its P
+    ``_row_ranges``."""
+    keys, a, b = _canonical_edges(src, dst, n)
+    indptr, fsrc, fdst, _ = _forward_csr(a, b, n)
+    return keys, (indptr, fsrc, fdst), _row_ranges(indptr, P)
+
+
+def _broadcast_inputs(src, dst, n, P):
+    """``(key_ref, adj_ref, ranges)`` of ``_broadcast_csr`` run as a
+    task: the driver holds two refs and the P row ranges."""
+    key_ref, adj_ref, ranges = _tasks(_broadcast_csr, 3)(src, dst, n, P)
+    return key_ref, adj_ref, ray.get(ranges)
 
 
 def _key_index(keys, u, v, n):
@@ -328,19 +346,15 @@ def triangle_count_fast(src, dst, n, P=16, per_vertex=False):
     Wedge generation runs as P numpy tasks over row ranges of the
     forward adjacency (``_closed_wedges`` over ``_row_ranges``);
     closing membership tests run against the sorted edge-key array
-    broadcast once via ``ray.put`` (8 bytes/edge — for corpora where
-    the deduped edge set no longer fits a node, swap the closing step
-    for the hash-join variant in ``triangle_count``).
+    stored once by the ``_broadcast_csr`` task (8 bytes/edge — for
+    corpora where the deduped edge set no longer fits a node, swap the
+    closing step for the hash-join variant in ``triangle_count``).
     """
-    keys, a, b = _canonical_edges(src, dst, n)
-    indptr, fsrc, fdst, _ = _forward_csr(a, b, n)
-    key_ref = ray.put(keys)
-    adj_ref = ray.put((indptr, fsrc, fdst))
+    key_ref, adj_ref, ranges = _broadcast_inputs(src, dst, n, P)
 
     @ray.remote
-    def count_part(lo, hi):
-        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
-        keys_ = ray.get(key_ref)
+    def count_part(keys_, adj, lo, hi):
+        indptr_, fsrc_, fdst_ = adj
         tri = 0
         pv = np.zeros(n, dtype=np.int64) if per_vertex else None
         for i, j, _ in _closed_wedges(indptr_, fdst_, keys_, n,
@@ -351,8 +365,8 @@ def triangle_count_fast(src, dst, n, P=16, per_vertex=False):
                     [fsrc_[i], fdst_[i], fdst_[j]]), minlength=n)
         return tri, pv
 
-    results = ray.get([count_part.remote(lo, hi) for lo, hi
-                        in _row_ranges(indptr, P)])
+    results = ray.get([count_part.remote(key_ref, adj_ref, lo, hi)
+                       for lo, hi in ranges])
     total = sum(r[0] for r in results)
     if not per_vertex:
         return total
@@ -373,18 +387,14 @@ def k4_count_fast(src, dst, n, P=16):
     run only for the rows with >= 3 closed wedges (|N+(u)| =
     O(sqrt(2m)) by the orientation, the same bound that kills hub
     blowup for triangles). Same broadcast envelope as
-    ``triangle_count_fast`` (sorted edge keys via ``ray.put``).
+    ``triangle_count_fast`` (``_broadcast_csr``).
 
     Returns (n_triangles, n_k4)."""
-    keys, a, b = _canonical_edges(src, dst, n)
-    indptr, fsrc, fdst, _ = _forward_csr(a, b, n)
-    key_ref = ray.put(keys)
-    adj_ref = ray.put((indptr, fsrc, fdst))
+    key_ref, adj_ref, ranges = _broadcast_inputs(src, dst, n, P)
 
     @ray.remote
-    def count_part(lo, hi):
-        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
-        keys_ = ray.get(key_ref)
+    def count_part(keys_, adj, lo, hi):
+        indptr_, fsrc_, fdst_ = adj
         tri = 0
         k4 = 0
         for i, j, _ in _closed_wedges(indptr_, fdst_, keys_, n,
@@ -406,8 +416,8 @@ def k4_count_fast(src, dst, n, P=16):
                 k4 += int((A @ A)[ii, jj].sum()) // 3
         return tri, k4
 
-    results = ray.get([count_part.remote(lo, hi) for lo, hi
-                        in _row_ranges(indptr, P)])
+    results = ray.get([count_part.remote(key_ref, adj_ref, lo, hi)
+                       for lo, hi in ranges])
     return (sum(r[0] for r in results), sum(r[1] for r in results))
 
 

@@ -447,13 +447,11 @@ def q_dag_depth_items(sf_dir):
         return pa.table({"src": pa.array(a[keep].astype(np.int64)),
                          "dst": pa.array(b[keep].astype(np.int64))})
 
-    import tempfile
     cond = rd.read_parquet(gf._item_seq_spill, columns=["src", "dst"]) \
         .map_batches(relabel, batch_format="pyarrow",
                      zero_copy_batch=True)
-    g2 = DistGraph.from_dataset(
-        cond, n=gf.n, P=8, directed=True, dedup=True,
-        spill_dir=tempfile.mkdtemp(prefix="lray_dagdepth_"))
+    g2 = DistGraph.from_dataset(cond, n=gf.n, P=8, directed=True,
+                                dedup=True)
     depth, _ = ss.dag_longest_path(g2)
     vids = np.flatnonzero(gf.active_global()).astype(np.int64)
     return pa.table({"vid": pa.array(vids),
