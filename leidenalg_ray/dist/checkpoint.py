@@ -71,7 +71,9 @@ class CheckpointManager:
             "P": self.P,
             "n": self.n,
             "fmt": self.fmt,
-            "wall_time": time.time(),
+            # integer ms: a fixed-width field keeps the manifest's
+            # size the same from save to save
+            "wall_time_ms": time.time_ns() // 1_000_000,
             "partitions": lineage,
             "metrics": metrics or {},
         }

@@ -74,6 +74,7 @@ from ..partition import (
     SurpriseVertexPartition,
 )
 from ..optimiser import Optimiser
+from .superstep import _claim_output, _write_shard
 
 PARTITION_TYPES = {
     "modularity": ModularityVertexPartition,
@@ -810,20 +811,12 @@ class LeidenShard:
 
     def write_final(self, out_dir, upper_map, relabel_keys,
                     relabel_vals):
-        """Write this shard's final (vid, comm) rows as one parquet
-        file — the o(n)-driver output path (partitioned, resumable)."""
-        import os
-        import pyarrow as _pa
-        import pyarrow.parquet as pq
+        """Write this shard's final (vid, comm) rows as its part file
+        (``superstep._write_shard``: atomic, resumable) — the
+        o(n)-driver output path."""
         fl = self.final_own_labels(upper_map, relabel_keys,
                                    relabel_vals)
-        vids = np.arange(len(fl), dtype=np.int64) * self.P + self.p
-        os.makedirs(out_dir, exist_ok=True)
-        pq.write_table(_pa.table({"vid": _pa.array(vids),
-                                  "comm": _pa.array(fl)}),
-                       os.path.join(out_dir,
-                                    f"part-{self.p:05d}.parquet"))
-        return int(len(fl))
+        return int(_write_shard(fl, self.p, self.P, out_dir, "comm"))
 
     def agg_partials_sharded(self, n_labels, directed):
         """Per-layer (comm_src, comm_dst) -> weight partial sums over
@@ -2513,20 +2506,11 @@ class DistLeiden:
             # written directly from it, partitioned by vid % P like
             # the shard-side path — no extra move+refine+aggregate
             # pass just to route bytes
-            import os
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-            os.makedirs(membership_out, exist_ok=True)
+            _claim_output(membership_out, self.n, self.P, "comm",
+                          quality=float(q))
             for p in range(self.P):
-                sl = mem[p::self.P]
-                vids = p + self.P * np.arange(len(sl),
-                                              dtype=np.int64)
-                tmp = os.path.join(
-                    membership_out,
-                    f"part-{p:05d}.parquet.tmp-{os.getpid()}")
-                pq.write_table(pa.table({"vid": pa.array(vids),
-                                         "comm": pa.array(sl)}), tmp)
-                os.replace(tmp, tmp[:-len(f".tmp-{os.getpid()}")])
+                _write_shard(mem[p::self.P], p, self.P, membership_out,
+                             "comm")
             info["membership_rows"] = int(self.n)
             info["membership_path"] = membership_out
             return None, q, info
@@ -2769,6 +2753,10 @@ class DistLeiden:
             "n_communities": int(len(ulab)),
         }
         if membership_out is not None:
+            # the quality names the result: a rerun that found another
+            # partition clears the parts instead of keeping them
+            _claim_output(membership_out, self.n, self.P, "comm",
+                          quality=float(quality))
             rows = ray.get([a.write_final.remote(
                 membership_out, um_ref, keys_ref, vals_ref)
                 for a in self.actors])

@@ -2,14 +2,24 @@
 
 Companion operators a link-graph user runs next to the §2.8 kernels
 (no counterpart in the reference — vtraag/leidenalg stops at
-community detection; these follow the same partitioned plan as
-``dist/triangles.triangle_count``):
+community detection). All three run on the partitioned envelope of
+``dist/triangles.py``: ``_bucket_edges`` spills the edge set, oriented
+lo -> hi and deduped, to K buckets by ``a % K`` and hands back one ref
+per bucket plus the degree partials; every later stage is one task per
+bucket returning one part per bucket (``_split_by`` through
+``superstep._tasks(..., split=True)``), so parts flow worker to worker
+and the plan is the same at any K >= 1.
 
 - ``adamic_adar_topk``: top-k non-adjacent vertex pairs by
-  common-neighbor count / Adamic-Adar score. Wedges are enumerated
-  per middle vertex inside the bucket that owns it, pair partials
-  aggregate bucket-locally, and each bucket returns only its own
-  top-k — the driver merges K * k rows, never the pair stream.
+  common-neighbor count / Adamic-Adar score. Each bucket holds both
+  directions of its edges keyed by the middle vertex (``w % K``), so a
+  row of its CSR is one vertex's whole neighbourhood; the wedges of
+  all rows come from ``_row_pairs``, pair partials aggregate
+  bucket-locally and go to the pair's owner ``lo % K``, and each owner
+  returns only its own top-k — the driver merges K * k rows, never the
+  pair stream.
+- ``degree_assortativity``: exact integer sums of endpoint degrees per
+  bucket, one float expression on the driver.
 - ``neighbor_sample``: deterministic fan-out-k neighbor sampling
   (the GraphSAGE mini-batch shape): per-vertex neighbor ranking by a
   reproducible modular hash, emitted as a Dataset without driver
@@ -23,55 +33,15 @@ raise K so a bucket fits a worker.
 
 from __future__ import annotations
 
-import os
-import tempfile
+import math
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-
-def _spill_canonical(edges_ds, K, spill_dir):
-    """Orient low->high, per-batch pre-dedup, spill partitioned by
-    ``a % K`` (each bucket fits a worker; resumable)."""
-
-    def orient(t: pa.Table) -> pa.Table:
-        s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nl = s != d
-        a = np.minimum(s[nl], d[nl])
-        b = np.maximum(s[nl], d[nl])
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])] \
-            if len(a) else np.empty(0, bool)
-        a, b = a[first], b[first]
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "part": pa.array((a % K).astype(np.int32))})
-
-    edges_ds.map_batches(orient, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .write_parquet(spill_dir, partition_cols=["part"])
-
-
-@ray.remote(num_returns=2)
-def _load_bucket(spill_dir, k):
-    """Exact partition-local dedup + compressed degree partials."""
-    import pyarrow.dataset as pads
-    d = os.path.join(spill_dir, f"part={k}")
-    e = np.empty(0, np.int64)
-    if not os.path.isdir(d):
-        return (e, e.copy()), (e.copy(), e.copy())
-    t = pads.dataset(d).to_table(columns=["a", "b"])
-    a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-    b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])] \
-        if len(a) else np.empty(0, bool)
-    a, b = a[first], b[first]
-    v, c = np.unique(np.concatenate([a, b]), return_counts=True)
-    return (a, b), (v, c)
+from .superstep import _map, _tasks
+from .triangles import (_bucket_edges, _grouped_csr, _row_pairs,
+                        _split_by, _vertex_totals)
 
 
 def _group_sum(keys, score, counts=None):
@@ -84,7 +54,8 @@ def _group_sum(keys, score, counts=None):
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
     ss = score[order]
-    flag = np.r_[True, ks[1:] != ks[:-1]]
+    flag = np.ones(len(ks), dtype=bool)
+    flag[1:] = ks[1:] != ks[:-1]
     gid = np.cumsum(flag) - 1
     if counts is None:
         cn = np.bincount(gid).astype(np.int64)
@@ -94,14 +65,56 @@ def _group_sum(keys, score, counts=None):
     return ks[flag], cn, sc
 
 
-def _combined_degrees(deg_parts):
-    """O(V) driver state: global (verts, deg) from bucket partials —
-    the same driver footprint the triangle plan carries."""
-    verts = np.unique(np.concatenate([p[0] for p in deg_parts]))
-    deg = np.zeros(len(verts), dtype=np.int64)
-    for v, c in deg_parts:
-        deg[np.searchsorted(verts, v)] += c
-    return verts, deg
+def _both_directions(K, edges):
+    """A bucket's edges in both directions ``(w, v)``, split into K
+    parts by the owner ``w % K``."""
+    a, b = edges
+    w = np.concatenate([a, b])
+    return _split_by(w % K, K, w, np.concatenate([b, a]))
+
+
+def _adjacency_parts(K, edge_refs):
+    """Per bucket k, the refs of the K parts (one from each bucket) of
+    the both-direction edges ``(w, v)`` with ``w % K == k``."""
+    launch = _tasks(_both_directions, K, split=True)
+    out = [launch(K, edges) for edges in edge_refs]
+    return [[out[j][k] for j in range(K)] for k in range(K)]
+
+
+def _aa_wedges(K, n, *parts):
+    """One bucket's wedges: every neighbor pair (lo, hi) of each owned
+    middle vertex w, row by row of the bucket's CSR, scored
+    ``1 / ln(deg(w))`` (a row holds all of w's distinct neighbors, so
+    its length is deg(w)), summed per pair key ``lo * n + hi`` and
+    split into K parts by the pair's owner ``lo % K``."""
+    _, v, indptr = _grouped_csr(parts)
+    deg = np.diff(indptr)
+    inv = np.zeros(len(deg))
+    inv[deg >= 2] = 1.0 / np.log(deg[deg >= 2])
+    row_inv = np.repeat(inv, deg)
+    keys = [np.empty(0, np.int64)]
+    score = [np.empty(0)]
+    for i, j in _row_pairs(indptr, np.arange(len(deg))):
+        keys.append(v[i] * n + v[j])
+        score.append(row_inv[i])
+    uk, cn, sc = _group_sum(np.concatenate(keys), np.concatenate(score))
+    return _split_by(uk // n % K, K, uk, cn, sc)
+
+
+def _aa_close(k_top, n, edges, *wparts):
+    """At a pair's owner: combine the pair partials, drop the pairs
+    that are edges, keep the local top ``k_top`` by (count desc, lo,
+    hi)."""
+    a, b = edges
+    keys = np.concatenate([p[0] for p in wparts])
+    cn = np.concatenate([p[1] for p in wparts])
+    sc = np.concatenate([p[2] for p in wparts])
+    uk, cn, sc = _group_sum(keys, sc, counts=cn)
+    keep = ~np.isin(uk, a * n + b, assume_unique=True)
+    uk, cn, sc = uk[keep], cn[keep], sc[keep]
+    lo, hi = uk // n, uk % n
+    order = np.lexsort((hi, lo, -cn))[:k_top]   # integer-deterministic
+    return lo[order], hi[order], cn[order], sc[order]
 
 
 def adamic_adar_topk(edges_ds, k_top=20, num_partitions=8,
@@ -112,119 +125,39 @@ def adamic_adar_topk(edges_ds, k_top=20, num_partitions=8,
     signal. Returns ``pa.Table(a, b, common_neighbors, aa_score)``
     with the score rounded to 6 decimals.
     """
-    K = int(num_partitions)
-    spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_aa_")
-    _spill_canonical(edges_ds, K, spill_dir)
-
-    outs = [_load_bucket.remote(spill_dir, k) for k in range(K)]
-    edge_refs = [o[0] for o in outs]
-    deg_parts = ray.get([o[1] for o in outs])
-    verts, deg = _combined_degrees(deg_parts)
-    n = int(verts.max()) + 1 if len(verts) else 1
-    vd_ref = ray.put((verts, deg, np.int64(n)))
-
-    @ray.remote
-    def adjacency_bucket(edges):
-        """Both directions of the bucket's edges, shipped to the
-        middle vertex's owner."""
-        a, b = edges
-        w = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        bucket = w % K
-        order = np.argsort(bucket, kind="stable")
-        w, v, bucket = w[order], v[order], bucket[order]
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(w[bounds[k]:bounds[k + 1]], v[bounds[k]:bounds[k + 1]])
-                for k in range(K)]
-
-    adj_refs = [adjacency_bucket.options(num_returns=K).remote(
-        edge_refs[k]) for k in range(K)]
-    if K == 1:
-        adj_refs = [[r] for r in adj_refs]
-
-    @ray.remote
-    def wedge_bucket(vd, *parts):
-        """Enumerate neighbor pairs per owned middle vertex; aggregate
-        (pair -> count, score) bucket-locally; ship partials to the
-        pair's owner ``lo % K``."""
-        verts_, deg_, n_ = vd
-        w = np.concatenate([p[0] for p in parts])
-        v = np.concatenate([p[1] for p in parts])
-        order = np.lexsort((v, w))
-        w, v = w[order], v[order]
-        starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]]) \
-            if len(w) else np.empty(0, np.int64)
-        ends = np.append(starts[1:], len(w))
-        keys_l, score_l = [], []
-        for s0, s1 in zip(starts, ends):
-            if s1 - s0 < 2:
-                continue
-            nb = v[s0:s1]
-            d = deg_[np.searchsorted(verts_, w[s0])]
-            ii, jj = np.triu_indices(len(nb), k=1)
-            lo, hi = nb[ii], nb[jj]
-            keys_l.append(lo * n_ + hi)
-            score_l.append(np.full(len(lo), 1.0 / np.log(d)))
-        if not keys_l:
-            e = np.empty(0, np.int64)
-            f = np.empty(0, np.float64)
-            return [(e, e.copy(), f)] * K
-        keys = np.concatenate(keys_l)
-        score = np.concatenate(score_l)
-        uk, cn, sc = _group_sum(keys, score)
-        lo = (uk // n_).astype(np.int64)
-        bucket = lo % K
-        order = np.argsort(bucket, kind="stable")
-        uk, cn, sc, bucket = uk[order], cn[order], sc[order], bucket[order]
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(uk[bounds[k]:bounds[k + 1]],
-                 cn[bounds[k]:bounds[k + 1]],
-                 sc[bounds[k]:bounds[k + 1]]) for k in range(K)]
-
-    wedge_refs = [wedge_bucket.options(num_returns=K).remote(
-        vd_ref, *[adj_refs[j][k] for j in range(K)])
-        for k in range(K)]
-    if K == 1:
-        wedge_refs = [[r] for r in wedge_refs]
-
-    @ray.remote
-    def close_bucket(vd, edges, *wparts):
-        """Combine pair partials, drop existing edges, local top-k."""
-        _, _, n_ = vd
-        a, b = edges
-        ekeys = a * n_ + b  # lexsorted by (a, b) -> sorted keys
-        keys = np.concatenate([p[0] for p in wparts])
-        cn = np.concatenate([p[1] for p in wparts])
-        sc = np.concatenate([p[2] for p in wparts])
-        if len(keys) == 0:
-            return (np.empty(0, np.int64), np.empty(0, np.int64),
-                    np.empty(0, np.int64), np.empty(0, np.float64))
-        uk, cn_t, sc_t = _group_sum(keys, sc, counts=cn)
-        if len(ekeys):
-            idx = np.searchsorted(ekeys, uk).clip(0, len(ekeys) - 1)
-            keep = ekeys[idx] != uk
-            uk, cn_t, sc_t = uk[keep], cn_t[keep], sc_t[keep]
-        lo = (uk // n_).astype(np.int64)
-        hi = (uk % n_).astype(np.int64)
-        # top-k by (cn desc, lo asc, hi asc): integer-deterministic
-        order = np.lexsort((hi, lo, -cn_t))[:k_top]
-        return lo[order], hi[order], cn_t[order], sc_t[order]
-
-    closed = ray.get([close_bucket.remote(
-        vd_ref, edge_refs[k], *[wedge_refs[j][k] for j in range(K)])
-        for k in range(K)])
-    lo = np.concatenate([c[0] for c in closed])
-    hi = np.concatenate([c[1] for c in closed])
-    cn = np.concatenate([c[2] for c in closed])
-    sc = np.concatenate([c[3] for c in closed])
-    order = np.lexsort((hi, lo, -cn))[:k_top]
     from ..util import round6
+    K = int(num_partitions)
+    edge_refs, deg_parts = _bucket_edges(edges_ds, K, spill_dir)
+    verts, _ = _vertex_totals(deg_parts)
+    n = int(verts.max()) + 1 if len(verts) else 1
+    wedges = _tasks(_aa_wedges, K, split=True)
+    wedge_refs = [wedges(K, n, *parts)
+                  for parts in _adjacency_parts(K, edge_refs)]
+    close = _tasks(_aa_close)
+    closed = ray.get([close(k_top, n, edge_refs[k],
+                            *[wedge_refs[j][k] for j in range(K)])
+                      for k in range(K)])
+    lo, hi, cn, sc = (np.concatenate([c[t] for c in closed])
+                      for t in range(4))
+    order = np.lexsort((hi, lo, -cn))[:k_top]
     return pa.table({
         "a": pa.array(lo[order]),
         "b": pa.array(hi[order]),
         "common_neighbors": pa.array(cn[order]),
         "aa_score": pa.array(round6(sc[order])),
     })
+
+
+def _assortativity_sums(vd, edges):
+    """A bucket's exact integer sums over its symmetrized edges: sum x,
+    sum xy, sum x^2 of the endpoint degrees, and the edge count."""
+    verts, deg = vd
+    a, b = edges
+    x = deg[np.searchsorted(verts, a)]
+    y = deg[np.searchsorted(verts, b)]
+    # each canonical edge contributes (x, y) AND (y, x)
+    return (int(x.sum() + y.sum()), int(2 * (x * y).sum()),
+            int((x * x).sum() + (y * y).sum()), 2 * len(a))
 
 
 def degree_assortativity(edges_ds, num_partitions=8, spill_dir=None):
@@ -234,44 +167,37 @@ def degree_assortativity(edges_ds, num_partitions=8, spill_dir=None):
     the final expression mirrors the SQL oracle's operation order
     term for term so both sides produce the identical double."""
     K = int(num_partitions)
-    spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_as_")
-    _spill_canonical(edges_ds, K, spill_dir)
-    outs = [_load_bucket.remote(spill_dir, k) for k in range(K)]
-    edge_refs = [o[0] for o in outs]
-    deg_parts = ray.get([o[1] for o in outs])
-    verts, deg = _combined_degrees(deg_parts)
-    vd_ref = ray.put((verts, deg))
-
-    @ray.remote
-    def partial(vd, edges):
-        verts_, deg_ = vd
-        a, b = edges
-        x = deg_[np.searchsorted(verts_, a)]
-        y = deg_[np.searchsorted(verts_, b)]
-        # each canonical edge contributes (x, y) AND (y, x)
-        return (int(x.sum() + y.sum()),
-                int(2 * (x * y).sum()),
-                int((x * x).sum() + (y * y).sum()),
-                2 * len(a))
-
-    parts = ray.get([partial.remote(vd_ref, edge_refs[k])
-                     for k in range(K)])
-    sx = sum(p[0] for p in parts)
-    sxy = sum(p[1] for p in parts)
-    sxx = sum(p[2] for p in parts)
-    m = sum(p[3] for p in parts)
+    edge_refs, deg_parts = _bucket_edges(edges_ds, K, spill_dir)
+    vd_ref = ray.put(_vertex_totals(deg_parts))
+    parts = ray.get(_map(_assortativity_sums, [vd_ref] * K, edge_refs))
+    sx, sxy, sxx, m = (sum(p[t] for p in parts) for t in range(4))
     # x and y marginals are identical by symmetry; keep the general
     # Pearson form so the float ops match the SQL expression exactly
     mean_x = sx / m
     var_x = sxx / m - mean_x * mean_x
     cov = sxy / m - mean_x * mean_x
-    import math
     return cov / (math.sqrt(var_x) * math.sqrt(var_x))
 
 
 # Modular hash for deterministic neighbor ranking — reproducible
 # verbatim in SQL (`(src*7919 + dst*104729) % 1000003`).
 _SAMPLE_MOD = 1_000_003
+
+
+def _sample_bucket(fanout, *parts):
+    """The first ``fanout`` neighbors of each vertex owned by one
+    bucket, ranked by ``(hash, dst)``, as a ``(src, dst, rk)`` table."""
+    s = np.concatenate([p[0] for p in parts])
+    d = np.concatenate([p[1] for p in parts])
+    h = (s * 7919 + d * 104729) % _SAMPLE_MOD
+    order = np.lexsort((d, h, s))
+    s, d = s[order], d[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    seg = np.repeat(starts, np.diff(np.append(starts, len(s))))
+    rk = np.arange(len(s)) - seg + 1
+    keep = rk <= fanout
+    return pa.table({"src": pa.array(s[keep]), "dst": pa.array(d[keep]),
+                     "rk": pa.array(rk[keep])})
 
 
 def neighbor_sample(edges_ds, fanout=5, num_partitions=8,
@@ -285,46 +211,7 @@ def neighbor_sample(edges_ds, fanout=5, num_partitions=8,
     import ray.data as rd
 
     K = int(num_partitions)
-    spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_ns_")
-    _spill_canonical(edges_ds, K, spill_dir)
-    outs = [_load_bucket.remote(spill_dir, k) for k in range(K)]
-    edge_refs = [o[0] for o in outs]
-
-    @ray.remote
-    def adjacency_bucket(edges):
-        a, b = edges
-        s = np.concatenate([a, b])
-        d = np.concatenate([b, a])
-        bucket = s % K
-        order = np.argsort(bucket, kind="stable")
-        s, d, bucket = s[order], d[order], bucket[order]
-        bounds = np.searchsorted(bucket, np.arange(K + 1))
-        return [(s[bounds[k]:bounds[k + 1]], d[bounds[k]:bounds[k + 1]])
-                for k in range(K)]
-
-    adj_refs = [adjacency_bucket.options(num_returns=K).remote(
-        edge_refs[k]) for k in range(K)]
-    if K == 1:
-        adj_refs = [[r] for r in adj_refs]
-
-    @ray.remote
-    def sample_bucket(*parts):
-        s = np.concatenate([p[0] for p in parts])
-        d = np.concatenate([p[1] for p in parts])
-        if len(s) == 0:
-            return pa.table({"src": pa.array(s), "dst": pa.array(d),
-                             "rk": pa.array(np.empty(0, np.int64))})
-        h = (s * 7919 + d * 104729) % _SAMPLE_MOD
-        order = np.lexsort((d, h, s))
-        s, d = s[order], d[order]
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        seg = np.repeat(starts, np.diff(np.append(starts, len(s))))
-        rk = np.arange(len(s)) - seg + 1
-        keep = rk <= fanout
-        return pa.table({"src": pa.array(s[keep]),
-                         "dst": pa.array(d[keep]),
-                         "rk": pa.array(rk[keep])})
-
-    tbl_refs = [sample_bucket.remote(*[adj_refs[j][k] for j in range(K)])
-                for k in range(K)]
-    return rd.from_arrow_refs(tbl_refs)
+    edge_refs, _ = _bucket_edges(edges_ds, K, spill_dir)
+    sample = _tasks(_sample_bucket)
+    return rd.from_arrow_refs([sample(fanout, *parts) for parts
+                               in _adjacency_parts(K, edge_refs)])

@@ -31,12 +31,31 @@ O(E log V) work over O(log V) rounds.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import ray
 
 from .blocks import DistGraph
+from .superstep import _by_dest, _claim_output, _map, _tasks, _write_part
+from .triangles import _split_by
+
+
+def _split_query(P, q):
+    """Global-id queries as P parts of owner-local ids (owner
+    ``q % P``), in query order within each part."""
+    return [c for (c,) in _split_by(q % P, P, q // P)]
+
+
+def _answer(state, *chunks):
+    """At an owner shard: ``state`` at each querying shard's ids."""
+    return [state[c] for c in chunks]
+
+
+def _scatter_back(P, q, *answers):
+    """Owner answers back in the order of the queries ``q``."""
+    out = np.empty(len(q), dtype=np.int64)
+    for r in range(P):
+        out[(q % P) == r] = answers[r]
+    return out
 
 
 def _lookup(P, state_refs, query_refs):
@@ -44,30 +63,83 @@ def _lookup(P, state_refs, query_refs):
     per-shard refs of ``state[query]`` (state sharded vid % P). Three
     task layers (split by owner, answer at owner, scatter back); the
     driver only routes refs."""
-
-    @ray.remote(num_returns=max(P, 2))
-    def split(q):
-        outs = [q[(q % P) == r] // P for r in range(P)]
-        return outs if P > 1 else outs + [None]
-
-    @ray.remote(num_returns=max(P, 2))
-    def answer(state, *chunks):
-        outs = [state[c] for c in chunks]
-        return outs if P > 1 else outs + [None]
-
-    @ray.remote
-    def scatter(q, *answers):
-        out = np.empty(len(q), dtype=np.int64)
-        for r in range(P):
-            out[(q % P) == r] = answers[r]
-        return out
-
-    qs = [split.remote(query_refs[p]) for p in range(P)]
-    ans = [answer.remote(state_refs[r], *[qs[p][r] for p in range(P)])
+    split = _tasks(_split_query, P, split=True)
+    answer = _tasks(_answer, P, split=True)
+    scatter = _tasks(_scatter_back)
+    qs = [split(P, q) for q in query_refs]
+    ans = [answer(state_refs[r], *[qs[p][r] for p in range(P)])
            for r in range(P)]
-    return [scatter.remote(query_refs[p],
-                           *[ans[r][p] for r in range(P)])
+    return [scatter(P, query_refs[p], *[ans[r][p] for r in range(P)])
             for p in range(P)]
+
+
+def _candidates(P, p, block, comp):
+    """Shard p's per-edge candidate messages, cut per destination
+    shard: ``(dst_local, comp_src, weight, u_global)``."""
+    return _by_dest(block, comp[block["src_local"]], block["weight"],
+                    block["src_local"] * P + p)
+
+
+def _lex_min(cv, w, u, v, cu):
+    """One candidate per component ``cv``: its lexicographically
+    smallest ``(weight, min(u, v), max(u, v))`` edge."""
+    order = np.lexsort((np.maximum(u, v), np.minimum(u, v), w, cv))
+    cv, w, u, v, cu = (x[order] for x in (cv, w, u, v, cu))
+    first = np.ones(len(cv), dtype=bool)
+    first[1:] = cv[1:] != cv[:-1]
+    return tuple(x[first] for x in (cv, w, u, v, cu))
+
+
+def _local_candidates(P, q, comp, *msgs):
+    """At dst shard q: resolve comp_dst locally, drop internal edges,
+    pre-reduce to one lex-min candidate per destination component,
+    route by the component's owner shard."""
+    dl, cu, w, u = (np.concatenate([m[c] for m in msgs]) for c in range(4))
+    cv = comp[dl]
+    m = cu != cv
+    cv, w, u, v, cu = _lex_min(cv[m], w[m], u[m], (dl * P + q)[m], cu[m])
+    return _split_by(cv % P, P, cv, w, u, v, cu)
+
+
+def _best_of(*parts):
+    """At the component's owner shard: global lex-min per component
+    over the pre-reduced candidates, and their count."""
+    best = _lex_min(*(np.concatenate([p[c] for p in parts])
+                      for c in range(5)))
+    return (*best, len(best[0]))
+
+
+def _tgt_dense(P, r_size, bc, bt):
+    """Dense comp->target map for this owner shard (identity ==
+    'no outgoing edge this round' is encoded as -1)."""
+    dense = np.full(r_size, -1, dtype=np.int64)
+    dense[bc // P] = bt
+    return dense
+
+
+def _elect(P, r_size, r, bc, bt, bw, bu, bv, tgt_of_bt):
+    """Mutual-pair detection + root election + edge emission.
+    ptr[c] = c when c roots a mutual pair (c < t), else t; the
+    larger side of a mutual pair does NOT emit (both picked the
+    same lex-minimal edge)."""
+    mut = tgt_of_bt == bc
+    ptr = np.arange(r, r + r_size * P, P, dtype=np.int64)[:r_size]
+    ptr[bc // P] = np.where(mut & (bc < bt), bc, bt)
+    emit = ~(mut & (bc > bt))
+    return ptr, bu[emit], bv[emit], bw[emit]
+
+
+def _count_changed(old, new):
+    """How many pointers one doubling step moved."""
+    return int(np.count_nonzero(old != new))
+
+
+def _write_edges(u, v, w, out_dir, rnd, p):
+    """Shard p's edges selected in round ``rnd`` as their part file;
+    returns their count and weight sum."""
+    _write_part(out_dir, f"part-r{rnd:03d}-p{p:05d}.parquet",
+                {"u": u, "v": v, "weight": w})
+    return len(u), float(np.sum(w))
 
 
 def minimum_spanning_forest(g: DistGraph, max_rounds=64,
@@ -80,110 +152,17 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
     arrays ``(u, v, weight)`` (``result_out=None``, driver assemble —
     the oracle path) or ``{"path", "rows"}`` when each shard wrote
     its selected edges as ``part-r{round}-p{shard}.parquet`` from the
-    worker (o(n) driver, resumable via skip-if-exists + tmp/replace
-    like ``superstep._write_shard``)."""
+    worker (o(n) driver, resumable and identity-checked through
+    ``superstep._claim_output`` / ``_write_part``)."""
     P, n, sizes = g.P, g.n, g.sizes
-
-    @ray.remote(num_returns=max(P, 2))
-    def cand_gather(p, block, comp):
-        """Per-edge candidate messages routed to the dst's shard:
-        (dst_local, comp_src, weight, u_global)."""
-        cu = comp[block["src_local"]]
-        u = block["src_local"] * P + p
-        off = block["dst_offsets"]
-        outs = []
-        for q in range(P):
-            sl = slice(int(off[q]), int(off[q + 1]))
-            outs.append((block["dst_local"][sl], cu[sl],
-                         block["weight"][sl], u[sl]))
-        return outs if P > 1 else outs + [None]
-
-    @ray.remote(num_returns=max(P, 2))
-    def cand_local(q, comp, *msgs):
-        """At dst shard q: resolve comp_dst locally, drop internal
-        edges, pre-reduce to one lex-min candidate per destination
-        component, route by the component's owner shard."""
-        dl = np.concatenate([m[0] for m in msgs])
-        cu = np.concatenate([m[1] for m in msgs])
-        w = np.concatenate([m[2] for m in msgs])
-        u = np.concatenate([m[3] for m in msgs])
-        v = dl * P + q
-        cv = comp[dl]
-        m = cu != cv
-        cu, w, u, v, cv = cu[m], w[m], u[m], v[m], cv[m]
-        umin = np.minimum(u, v)
-        umax = np.maximum(u, v)
-        order = np.lexsort((umax, umin, w, cv))
-        cv, w, u, v, cu = (cv[order], w[order], u[order], v[order],
-                           cu[order])
-        first = np.ones(len(cv), dtype=bool)
-        first[1:] = cv[1:] != cv[:-1]
-        cv, w, u, v, cu = cv[first], w[first], u[first], v[first], \
-            cu[first]
-        outs = []
-        for r in range(P):
-            sel = (cv % P) == r
-            outs.append((cv[sel], w[sel], u[sel], v[sel], cu[sel]))
-        return outs if P > 1 else outs + [None]
-
-    @ray.remote(num_returns=6)
-    def best_of(*parts):
-        """At the component's owner shard: global lex-min per
-        component over the pre-reduced candidates."""
-        cv = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
-        u = np.concatenate([p[2] for p in parts])
-        v = np.concatenate([p[3] for p in parts])
-        cu = np.concatenate([p[4] for p in parts])
-        umin = np.minimum(u, v)
-        umax = np.maximum(u, v)
-        order = np.lexsort((umax, umin, w, cv))
-        cv, w, u, v, cu = (cv[order], w[order], u[order], v[order],
-                           cu[order])
-        first = np.ones(len(cv), dtype=bool)
-        first[1:] = cv[1:] != cv[:-1]
-        cv, w, u, v, cu = cv[first], w[first], u[first], v[first], \
-            cu[first]
-        return cv, w, u, v, cu, len(cv)
-
-    @ray.remote
-    def tgt_dense(r_size, r, bc, bt):
-        """Dense comp->target map for this owner shard (identity ==
-        'no outgoing edge this round' is encoded as -1)."""
-        dense = np.full(r_size, -1, dtype=np.int64)
-        dense[bc // P] = bt
-        return dense
-
-    @ray.remote(num_returns=4)
-    def elect(r_size, r, bc, bt, bw, bu, bv, tgt_of_bt):
-        """Mutual-pair detection + root election + edge emission.
-        ptr[c] = c when c roots a mutual pair (c < t), else t; the
-        larger side of a mutual pair does NOT emit (both picked the
-        same lex-minimal edge)."""
-        mut = tgt_of_bt == bc
-        ptr = np.arange(r, r + r_size * P, P, dtype=np.int64)[:r_size]
-        ptr[bc // P] = np.where(mut & (bc < bt), bc, bt)
-        emit = ~(mut & (bc > bt))
-        return ptr, bu[emit], bv[emit], bw[emit]
-
-    @ray.remote
-    def ptr_step(old, new):
-        return int(np.count_nonzero(old != new))
-
-    @ray.remote
-    def write_edges(u, v, w, out_dir, rnd, p):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir,
-                            f"part-r{rnd:03d}-p{p:05d}.parquet")
-        if os.path.exists(path):
-            return len(u)
-        tmp = path + f".tmp-{os.getpid()}"
-        pq.write_table(pa.table({"u": pa.array(u), "v": pa.array(v),
-                                 "weight": pa.array(w)}), tmp)
-        os.replace(tmp, path)
-        return len(u)
+    gather = _tasks(_candidates, P, split=True)
+    local = _tasks(_local_candidates, P, split=True)
+    best_of = _tasks(_best_of, 6)
+    tgt_dense = _tasks(_tgt_dense)
+    elect = _tasks(_elect, 4)
+    if result_out is not None:
+        _claim_output(result_out, n, P, "weight")
+        write = _tasks(_write_edges)
 
     comp_refs = [ray.put(np.arange(p, n, P, dtype=np.int64))
                  for p in range(P)]
@@ -192,32 +171,28 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
     n_edges = 0
     rnd = 0
     for rnd in range(max_rounds):
-        msg = [cand_gather.remote(p, g.blocks[p], comp_refs[p])
-               for p in range(P)]
-        loc = [cand_local.remote(q, comp_refs[q],
-                                 *[msg[p][q] for p in range(P)])
+        msg = [gather(P, p, g.blocks[p], comp_refs[p]) for p in range(P)]
+        loc = [local(P, q, comp_refs[q], *[msg[p][q] for p in range(P)])
                for q in range(P)]
-        best = [best_of.remote(*[loc[q][r] for q in range(P)])
-                for r in range(P)]
+        best = [best_of(*[loc[q][r] for q in range(P)]) for r in range(P)]
         counts = ray.get([best[r][5] for r in range(P)])
         if sum(counts) == 0:
             break
         # mutual-pair check: tgt_of(bt) for every best entry
-        dense_refs = [tgt_dense.remote(sizes[r], r, best[r][0],
-                                       best[r][4]) for r in range(P)]
+        dense_refs = [tgt_dense(P, sizes[r], best[r][0], best[r][4])
+                      for r in range(P)]
         tgt_of_bt = _lookup(P, dense_refs,
                             [best[r][4] for r in range(P)])
-        elected = [elect.remote(sizes[r], r, best[r][0], best[r][4],
-                                best[r][1], best[r][2], best[r][3],
-                                tgt_of_bt[r]) for r in range(P)]
+        elected = [elect(P, sizes[r], r, best[r][0], best[r][4],
+                         best[r][1], best[r][2], best[r][3], tgt_of_bt[r])
+                   for r in range(P)]
         ptr_refs = [e[0] for e in elected]
         if result_out is not None:
-            rows = ray.get([write_edges.remote(
-                elected[r][1], elected[r][2], elected[r][3],
-                result_out, rnd, r) for r in range(P)])
-            n_edges += int(sum(rows))
-            total_weight += float(sum(ray.get(
-                [_wsum.remote(elected[r][3]) for r in range(P)])))
+            rows = ray.get([write(elected[r][1], elected[r][2],
+                                  elected[r][3], result_out, rnd, r)
+                            for r in range(P)])
+            n_edges += int(sum(c for c, _ in rows))
+            total_weight += float(sum(w for _, w in rows))
         else:
             for r in range(P):
                 edge_refs.append((elected[r][1], elected[r][2],
@@ -225,9 +200,8 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
         # pointer doubling to roots
         for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))) + 1)):
             new_refs = _lookup(P, ptr_refs, ptr_refs)
-            changed = sum(ray.get([ptr_step.remote(ptr_refs[r],
-                                                   new_refs[r])
-                                   for r in range(P)]))
+            changed = sum(ray.get(_map(_count_changed, ptr_refs,
+                                       new_refs)))
             ptr_refs = new_refs
             if changed == 0:
                 break
@@ -249,7 +223,3 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
             "total_weight": float(w.sum()),
             "n_edges": int(len(u))}, rnd + 1
 
-
-@ray.remote
-def _wsum(w):
-    return float(np.sum(w))

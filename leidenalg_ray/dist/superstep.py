@@ -314,49 +314,53 @@ def assemble(g: DistGraph, shard_refs):
     return out
 
 
-def _write_shard(shard, p, P, out_dir, column):
-    """Write one shard's (vid, value) parquet from the worker.
+def _write_part(out_dir, name, columns):
+    """Write one part file ``<out_dir>/<name>`` of a shard-side output
+    (the table of ``columns``, name -> array) from the process that
+    holds the rows — every result writer goes through here.
 
     Crash-safe + resumable: writes to a tmp name and ``os.replace``s
     into place, and skips a part file that already exists, so a rerun
     after a mid-write crash neither duplicates nor re-does finished
-    partitions (a torn write only ever exists under the tmp name)."""
+    parts (a torn write only ever exists under the tmp name). Call
+    ``_claim_output`` on the directory first."""
     import os
     import pyarrow as pa
     import pyarrow.parquet as pq
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"part-{p:05d}.parquet")
+    path = os.path.join(out_dir, name)
     if os.path.exists(path):
-        return len(shard)
+        return
+    tmp = path + f".tmp-{os.getpid()}"
+    pq.write_table(pa.table({c: pa.array(v) for c, v in columns.items()}),
+                   tmp)
+    os.replace(tmp, path)
+
+
+def _write_shard(shard, p, P, out_dir, column):
+    """One shard's ``(vid, <column>)`` rows as ``part-{p:05d}.parquet``
+    (``_write_part``); returns the row count."""
     shard = np.asarray(shard)
     vids = p + P * np.arange(len(shard), dtype=np.int64)
-    tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(pa.table({"vid": pa.array(vids),
-                             column: pa.array(shard)}), tmp)
-    os.replace(tmp, path)
+    _write_part(out_dir, f"part-{p:05d}.parquet",
+                {"vid": vids, column: shard})
     return len(shard)
 
 
-def write_shard_results(g: DistGraph, shard_refs, out_dir, column):
-    """Shard-side partitioned parquet output — the o(n)-driver seam.
+def _claim_output(out_dir, n, P, column, **extra):
+    """Make ``out_dir`` the directory of one result, identified by
+    ``(n, P, column)`` and ``extra``, before any part is written.
 
-    Each shard writes its own ``part-{p:05d}.parquet`` with columns
-    ``(vid, <column>)`` directly from a worker task (the shard ref
-    never moves through the driver), mirroring
-    ``DistLeiden.run(membership_out=)``. Returns total rows written.
-    At 10^10 vertices the driver holds P object refs and P ints —
-    never an O(n) array.
-
-    Resume is IDENTITY-CHECKED: a ``_RESULT_MANIFEST.json`` recording
-    (n, P, column) is written before the shard tasks launch; existing
-    part files are skipped only when the manifest matches — a dir
-    left by a different graph size, partition count or kernel is
-    cleared instead of silently reused (the same stale-output rule as
-    the temporal spill's ``_SPILL_DONE``)."""
+    Resume is IDENTITY-CHECKED: a ``_RESULT_MANIFEST.json`` records the
+    identity; existing part files are skipped by ``_write_part`` only
+    when the manifest matches — a dir left by a different graph size,
+    partition count or kernel, or without a manifest, is cleared
+    instead of silently reused (the same stale-output rule as the
+    temporal spill's ``_SPILL_DONE``)."""
     import json
     import os
     manifest = os.path.join(out_dir, "_RESULT_MANIFEST.json")
-    expect = {"n": int(g.n), "P": int(g.P), "column": column}
+    expect = {"n": int(n), "P": int(P), "column": column, **extra}
     if os.path.isdir(out_dir):
         ok = False
         if os.path.exists(manifest):
@@ -376,7 +380,20 @@ def write_shard_results(g: DistGraph, shard_refs, out_dir, column):
         with open(tmp, "w") as f:
             json.dump(expect, f)
         os.replace(tmp, manifest)
+
+
+def write_shard_results(g: DistGraph, shard_refs, out_dir, column):
+    """Shard-side partitioned parquet output — the o(n)-driver seam.
+
+    Each shard writes its own ``part-{p:05d}.parquet`` with columns
+    ``(vid, <column>)`` directly from a worker task (the shard ref
+    never moves through the driver), mirroring
+    ``DistLeiden.run(membership_out=)``, into a directory claimed by
+    ``_claim_output``. Returns total rows written. At 10^10 vertices
+    the driver holds P object refs and P ints — never an O(n)
+    array."""
     P = g.P
+    _claim_output(out_dir, g.n, P, column)
     rows = ray.get(_map(_write_shard, shard_refs, range(P), [P] * P,
                         [out_dir] * P, [column] * P))
     return int(sum(rows))
@@ -2005,20 +2022,11 @@ def pagerank_batch(g: DistGraph, seed_sets, damping=0.85, tol=0.0,
         return new, float(np.abs(new - old).sum())
 
     def write_long(shard, p):
-        import os
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        os.makedirs(result_out, exist_ok=True)
-        path = os.path.join(result_out, f"part-{p:05d}.parquet")
-        if os.path.exists(path):
-            return shard.size
-        vids = np.repeat(p + P * np.arange(len(shard), dtype=np.int64), S)
-        seed = np.tile(np.arange(S, dtype=np.int64), len(shard))
-        tmp = path + f".tmp-{os.getpid()}"
-        pq.write_table(pa.table({
-            "vid": pa.array(vids), "seed": pa.array(seed),
-            "rank": pa.array(shard.ravel())}), tmp)
-        os.replace(tmp, path)
+        vids = p + P * np.arange(len(shard), dtype=np.int64)
+        _write_part(result_out, f"part-{p:05d}.parquet", {
+            "vid": np.repeat(vids, S),
+            "seed": np.tile(np.arange(S, dtype=np.int64), len(shard)),
+            "rank": shard.ravel()})
         return shard.size
 
     rank_refs = _map(init_shard, act_refs, pv_refs)
@@ -2032,6 +2040,7 @@ def pagerank_batch(g: DistGraph, seed_sets, damping=0.85, tol=0.0,
             break
 
     if result_out is not None:
+        _claim_output(result_out, n, P, "rank", seeds=S)
         rows = int(sum(ray.get(_map(write_long, rank_refs, range(P)))))
         return {"path": result_out, "rows": rows,
                 "column": "rank"}, it + 1

@@ -27,14 +27,19 @@ share them:
   P tasks each take a contiguous CSR row range of about equal wedge
   count (``_row_ranges``) — fastest while the deduped edge set fits
   a node.
-- partitioned (``triangle_count``, ``truss.k_truss_partitioned``): the
-  >node-memory form. The edge set spills to K hash partitions (by the
-  lower endpoint), degree/rank state is the only O(V) driver piece,
-  and wedge keys (``_wedges_by_bucket``) flow worker-to-worker into
-  the partition that owns their closing edge — no stage ever holds
-  the full edge set, and no Ray Data join materialises the wedge
-  stream (the join formulation measured 112x slower than the
-  broadcast path; this one is within a few x).
+- partitioned (``triangle_count``, ``truss.k_truss_partitioned`` and
+  the link-prediction operators of ``linkpred.py``): the >node-memory
+  form. ``_bucket_edges`` spills the edge set, oriented lo -> hi and
+  deduped, to K buckets by ``a % K`` and loads each into one ref plus
+  its degree partial; degree/rank state is the only O(V) driver
+  piece. Every later stage is one task per bucket that returns one
+  part per bucket (``_split_by`` run through ``superstep._tasks(...,
+  split=True)``, the same at any K >= 1), so wedge keys
+  (``_wedges_by_bucket``) flow worker-to-worker into the partition
+  that owns their closing edge — no stage ever holds the full edge
+  set, and no Ray Data join materialises the wedge stream (the join
+  formulation measured 112x slower than the broadcast path; this one
+  is within a few x).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from .superstep import _tasks
+from .superstep import _map, _tasks
 
 # wedges per ``_row_pairs`` chunk: bounds a task's transient arrays
 _CHUNK_PAIRS = 1 << 21
@@ -176,14 +181,78 @@ def _dedup_pairs(a, b):
     return a[first], b[first]
 
 
+def _orient(t: pa.Table, K) -> pa.Table:
+    """A batch of (src, dst) edges as the spill's rows: oriented
+    lo -> hi, loop-free, deduped within the batch and tagged with their
+    bucket ``part = a % K``."""
+    s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+    d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+    nl = s != d
+    a, b = _dedup_pairs(np.minimum(s[nl], d[nl]), np.maximum(s[nl], d[nl]))
+    return pa.table({"a": pa.array(a), "b": pa.array(b),
+                     "part": pa.array((a % K).astype(np.int32))})
+
+
+def _bucket_degrees(edges):
+    """A bucket's degree partial: its vids and their edge counts."""
+    a, b = edges
+    return np.unique(np.concatenate([a, b]), return_counts=True)
+
+
+def _read_bucket(spill_dir, k):
+    """Bucket k of the spill, exactly deduped (every copy of an edge
+    shares its bucket) and lexsorted by (a, b), with its degree
+    partial."""
+    import pyarrow.dataset as pads
+    d = os.path.join(spill_dir, f"part={k}")
+    a = b = np.empty(0, np.int64)
+    if os.path.isdir(d):
+        t = pads.dataset(d).to_table(columns=["a", "b"])
+        a, b = _dedup_pairs(
+            t["a"].to_numpy(zero_copy_only=False).astype(np.int64),
+            t["b"].to_numpy(zero_copy_only=False).astype(np.int64))
+    return (a, b), _bucket_degrees((a, b))
+
+
+def _bucket_edges(edges_ds, K, spill_dir):
+    """The partitioned plan's input: the (src, dst) edges of
+    ``edges_ds`` oriented lo -> hi, loop-free and deduped, cut into K
+    buckets by ``a % K`` through a partitioned parquet spill (each
+    bucket fits a worker). Returns ``(edge_refs, deg_parts)``: one ref
+    per bucket of its lexsorted ``(a, b)`` arrays, and the buckets'
+    ``(vids, counts)`` degree partials. A spill directory this call
+    creates is removed once the buckets are loaded; a caller's
+    ``spill_dir`` is left in place."""
+    owned = spill_dir is None
+    spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_spill_")
+    try:
+        edges_ds.map_batches(_orient, fn_kwargs={"K": K},
+                             batch_format="pyarrow",
+                             zero_copy_batch=True) \
+            .write_parquet(spill_dir, partition_cols=["part"])
+        edge_refs, deg_refs = _map(_read_bucket, [spill_dir] * K,
+                                   range(K), num_returns=2)
+        deg_parts = ray.get(deg_refs)
+    finally:
+        if owned:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+    return edge_refs, deg_parts
+
+
+def _vertex_totals(parts):
+    """Per-bucket ``(vids, counts)`` partials summed: the sorted vids
+    and each one's total."""
+    verts = np.unique(np.concatenate([p[0] for p in parts]))
+    total = np.zeros(len(verts), dtype=np.int64)
+    for v, c in parts:
+        total[np.searchsorted(verts, v)] += c
+    return verts, total
+
+
 def _rank_of(deg_parts):
     """The partitioned plan's (degree, vid) order from per-bucket
-    ``(vids, counts)`` degree partials: the sorted vids and the rank
-    of each."""
-    verts = np.unique(np.concatenate([p[0] for p in deg_parts]))
-    deg = np.zeros(len(verts), dtype=np.int64)
-    for v, c in deg_parts:
-        deg[np.searchsorted(verts, v)] += c
+    degree partials: the sorted vids and the rank of each."""
+    verts, deg = _vertex_totals(deg_parts)
     pos = np.empty(len(verts), dtype=np.int64)
     pos[np.lexsort((verts, deg))] = np.arange(len(verts))
     return verts, pos
@@ -200,16 +269,24 @@ def _forward_by_bucket(K, vp, edges):
     return _split_by(u % K, K, u, np.where(fwd, b, a))
 
 
-def _wedges_by_bucket(K, *parts):
-    """The wedges of the forward-edge parts ``(u, v)`` as ``(mid, lo,
-    hi)`` wedge keys, split into K parts by the closing key's bucket
-    ``lo % K``."""
+def _grouped_csr(parts):
+    """The ``(u, v)`` pairs of ``parts`` lexsorted by (u, v) as a CSR
+    over their distinct ``u``: ``(u, v, indptr)``, row r holding
+    positions ``indptr[r]:indptr[r + 1]``."""
     u = np.concatenate([p[0] for p in parts])
     v = np.concatenate([p[1] for p in parts])
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     indptr = np.flatnonzero(np.r_[True, u[1:] != u[:-1], True]) \
         if len(u) else np.zeros(1, np.int64)
+    return u, v, indptr
+
+
+def _wedges_by_bucket(K, *parts):
+    """The wedges of the forward-edge parts ``(u, v)`` as ``(mid, lo,
+    hi)`` wedge keys, split into K parts by the closing key's bucket
+    ``lo % K``."""
+    u, v, indptr = _grouped_csr(parts)
     chunks = [(u[i], v[i], v[j]) for i, j in
               _row_pairs(indptr, np.arange(len(indptr) - 1))]
     mid, lo, hi = (np.concatenate([c[t] for c in chunks]) if chunks
@@ -217,70 +294,60 @@ def _wedges_by_bucket(K, *parts):
     return _split_by(lo % K, K, mid, lo, hi)
 
 
+def _close_bucket(n, per_vertex, edges, *wparts):
+    """Bucket k's wedge keys membership-tested against its sorted
+    edge keys: the triangles it closes and, with ``per_vertex``, the
+    ``(vids, counts)`` partial of their corners."""
+    a, b = edges
+    keys = a * n + b           # sorted: edges lexsorted by (a, b)
+    mid, lo, hi = (np.concatenate([p[c] for p in wparts])
+                   for c in range(3))
+    e = np.empty(0, np.int64)
+    if len(mid) == 0 or len(keys) == 0:
+        return 0, (e, e.copy())
+    wk = lo * n + hi
+    idx = np.searchsorted(keys, wk).clip(0, len(keys) - 1)
+    hit = keys[idx] == wk
+    if not per_vertex:
+        return int(hit.sum()), (e, e.copy())
+    tri_v = np.concatenate([mid[hit], lo[hit], hi[hit]])
+    uv, cv = np.unique(tri_v, return_counts=True)
+    return int(hit.sum()), (uv, cv.astype(np.int64))
+
+
 def triangle_count(edges_ds, num_partitions=16, per_vertex=False,
                    spill_dir=None):
     """Global triangle count (int), optionally with a per-vertex count
-    Dataset ``(v, n_triangles)`` — partitioned compact-forward plan:
+    Dataset ``(v, count())`` of int64 columns — partitioned
+    compact-forward plan:
 
-    1. orient low->high + per-batch pre-dedup -> partitioned parquet
-       spill by ``a % K`` (resumable; each bucket fits a worker),
-    2. K loader tasks: exact partition-local dedup (every copy of an
-       edge shares its bucket) + compressed degree partials,
-    3. driver combines degrees (O(V)) into the (degree, vid) rank,
-    4. K re-bucket tasks orient edges forward and ship them to their
+    1. ``_bucket_edges``: orient low->high + per-batch pre-dedup ->
+       partitioned parquet spill by ``a % K`` (each bucket fits a
+       worker), then K loader tasks: exact partition-local dedup +
+       compressed degree partials,
+    2. driver combines degrees (O(V)) into the (degree, vid) rank,
+    3. K re-bucket tasks orient edges forward and ship them to their
        source vertex's bucket (worker-to-worker, ``num_returns=K``),
-    5. K wedge tasks enumerate forward-neighbour pairs
+    4. K wedge tasks enumerate forward-neighbour pairs
        (``_wedges_by_bucket``) and ship each closing key (lo, hi) to
        bucket ``lo % K``,
-    6. K close tasks membership-test wedge keys against their bucket's
+    5. K close tasks membership-test wedge keys against their bucket's
        sorted edge keys.
 
     A spill directory this call creates is removed once the buckets
-    are loaded; a caller's ``spill_dir`` is left in place.
+    are loaded; a caller's ``spill_dir`` is left in place. A graph
+    without triangles gives a zero-row Dataset, which Ray Data's
+    ``to_pandas()`` turns into a frame without columns; its
+    ``schema()`` and ``to_arrow_refs()`` keep both.
 
     Partitioning assumption: vid key packing ``lo * n + hi`` needs
     ``n < 3e9`` in int64; beyond that swap for a two-level
     (searchsorted on lo, then hi) membership test.
     """
-    import pyarrow.dataset as pads
     import ray.data as rd
 
     K = int(num_partitions)
-    owned = spill_dir is None
-    spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_tri_")
-
-    def orient(t: pa.Table) -> pa.Table:
-        s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nl = s != d
-        a, b = _dedup_pairs(np.minimum(s[nl], d[nl]),
-                            np.maximum(s[nl], d[nl]))
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "part": pa.array((a % K).astype(np.int32))})
-
-    @ray.remote(num_returns=2)
-    def load_bucket(k):
-        d = os.path.join(spill_dir, f"part={k}")
-        e = np.empty(0, np.int64)
-        if not os.path.isdir(d):
-            return (e, e.copy()), (e.copy(), e.copy())
-        t = pads.dataset(d).to_table(columns=["a", "b"])
-        a, b = _dedup_pairs(
-            t["a"].to_numpy(zero_copy_only=False).astype(np.int64),
-            t["b"].to_numpy(zero_copy_only=False).astype(np.int64))
-        v, c = np.unique(np.concatenate([a, b]), return_counts=True)
-        return (a, b), (v, c)
-
-    try:
-        edges_ds.map_batches(orient, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-            .write_parquet(spill_dir, partition_cols=["part"])
-        outs = [load_bucket.remote(k) for k in range(K)]
-        edge_refs = [o[0] for o in outs]
-        deg_parts = ray.get([o[1] for o in outs])
-    finally:
-        if owned:
-            shutil.rmtree(spill_dir, ignore_errors=True)
+    edge_refs, deg_parts = _bucket_edges(edges_ds, K, spill_dir)
 
     # combine degrees -> (degree, vid) total order; O(V) driver state
     verts, pos = _rank_of(deg_parts)
@@ -292,38 +359,16 @@ def triangle_count(edges_ds, num_partitions=16, per_vertex=False,
     wedges = _tasks(_wedges_by_bucket, K, split=True)
     wedge_refs = [wedges(K, *[fwd_refs[j][k] for j in range(K)])
                   for k in range(K)]
-
-    @ray.remote(num_returns=2)
-    def close_bucket(edges, *wparts):
-        a, b = edges
-        keys = a * n + b           # sorted: edges lexsorted by (a, b)
-        mid, lo, hi = (np.concatenate([p[c] for p in wparts])
-                       for c in range(3))
-        e = np.empty(0, np.int64)
-        if len(mid) == 0 or len(keys) == 0:
-            return 0, (e, e.copy())
-        wk = lo * n + hi
-        idx = np.searchsorted(keys, wk).clip(0, len(keys) - 1)
-        hit = keys[idx] == wk
-        if not per_vertex:
-            return int(hit.sum()), (e, e.copy())
-        tri_v = np.concatenate([mid[hit], lo[hit], hi[hit]])
-        uv, cv = np.unique(tri_v, return_counts=True)
-        return int(hit.sum()), (uv, cv.astype(np.int64))
-
-    closed = [close_bucket.remote(edge_refs[k],
-                                  *[wedge_refs[j][k] for j in range(K)])
+    close = _tasks(_close_bucket, 2)
+    closed = [close(n, per_vertex, edge_refs[k],
+                    *[wedge_refs[j][k] for j in range(K)])
               for k in range(K)]
     total = int(sum(ray.get([c[0] for c in closed])))
     if not per_vertex:
         return total
-    pv_parts = ray.get([c[1] for c in closed])
-    uv = np.unique(np.concatenate([p[0] for p in pv_parts]))
-    cv = np.zeros(len(uv), dtype=np.int64)
-    for v, c in pv_parts:
-        cv[np.searchsorted(uv, v)] += c
-    pv_ds = rd.from_arrow(pa.table({"v": pa.array(uv),
-                                    "count()": pa.array(cv)}))
+    uv, cv = _vertex_totals(ray.get([c[1] for c in closed]))
+    pv_ds = rd.from_arrow(pa.table({"v": pa.array(uv, pa.int64()),
+                                    "count()": pa.array(cv, pa.int64())}))
     return total, pv_ds
 
 
@@ -443,6 +488,59 @@ def _corner_wedge_class(m, i, o):
     return cls
 
 
+def _census_part(key_codes, adj, n, lo, hi):
+    """``triad_triangle_census`` over the forward CSR rows [lo, hi):
+    the triangle-class counts and in-triangle wedge-class counts."""
+    indptr, fsrc, fdst = adj
+    keys, codes = key_codes
+    l3 = np.zeros(7, dtype=np.int64)
+    wd = np.zeros(6, dtype=np.int64)
+    for i, j, idx in _closed_wedges(indptr, fdst, keys, n,
+                                    np.arange(lo, hi)):
+        uu, x, y, cxy = fsrc[i], fdst[i], fdst[j], codes[idx]
+        cux = codes[_key_index(keys, uu, x, n)]
+        cuy = codes[_key_index(keys, uu, y, n)]
+        # asym arc directions (True = first->second), valid
+        # only where the dyad is not mutual
+        fux = np.where(uu < x, cux == 1, cux == 2)
+        fuy = np.where(uu < y, cuy == 1, cuy == 2)
+        fxy = np.where(x < y, cxy == 1, cxy == 2)
+        aux, auy, axy = cux != 3, cuy != 3, cxy != 3
+        m_u = (cux == 3).astype(np.int64) + (cuy == 3)
+        o_u = (aux & fux).astype(np.int64) + (auy & fuy)
+        i_u = (aux & ~fux).astype(np.int64) + (auy & ~fuy)
+        m_x = (cux == 3).astype(np.int64) + (cxy == 3)
+        o_x = (aux & ~fux).astype(np.int64) + (axy & fxy)
+        i_x = (aux & fux).astype(np.int64) + (axy & ~fxy)
+        m_y = (cuy == 3).astype(np.int64) + (cxy == 3)
+        o_y = (auy & ~fuy).astype(np.int64) + (axy & ~fxy)
+        i_y = (auy & fuy).astype(np.int64) + (axy & fxy)
+        mm = (cux == 3).astype(np.int64) + (cuy == 3) + (cxy == 3)
+        # triangle class
+        tcls = np.empty(len(x), dtype=np.int64)
+        tcls[mm == 3] = 6                      # 300
+        tcls[mm == 2] = 5                      # 210
+        one = mm == 1
+        if one.any():
+            ow = np.where(m_u == 0, o_u,
+                          np.where(m_x == 0, o_x, o_y))
+            iw = np.where(m_u == 0, i_u,
+                          np.where(m_x == 0, i_x, i_y))
+            tcls[one & (ow == 2)] = 2          # 120D
+            tcls[one & (iw == 2)] = 3          # 120U
+            tcls[one & (ow == 1) & (iw == 1)] = 4   # 120C
+        zero = mm == 0
+        if zero.any():
+            cyc = (i_u == 1) & (o_u == 1) & (i_x == 1) & (o_x == 1)
+            tcls[zero & cyc] = 1               # 030C
+            tcls[zero & ~cyc] = 0              # 030T
+        np.add.at(l3, tcls, 1)
+        for m_, i_, o_ in ((m_u, i_u, o_u), (m_x, i_x, o_x),
+                           (m_y, i_y, o_y)):
+            np.add.at(wd, _corner_wedge_class(m_, i_, o_), 1)
+    return l3, wd
+
+
 def triad_triangle_census(lo, hi, code, n, P=16):
     """Classify every LINKED TRIANGLE (all three dyads present) of a
     directed graph given as unordered dyads ``(lo, hi)`` with code
@@ -466,59 +564,9 @@ def triad_triangle_census(lo, hi, code, n, P=16):
     key_ref = ray.put((keys, codes))
     adj_ref = ray.put((indptr, fsrc, fdst))
 
-    @ray.remote
-    def census_part(lo, hi):
-        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
-        keys_, codes_ = ray.get(key_ref)
-        l3 = np.zeros(7, dtype=np.int64)
-        wd = np.zeros(6, dtype=np.int64)
-        for i, j, idx in _closed_wedges(indptr_, fdst_, keys_, n,
-                                        np.arange(lo, hi)):
-            uu, x, y, cxy = fsrc_[i], fdst_[i], fdst_[j], codes_[idx]
-            cux = codes_[_key_index(keys_, uu, x, n)]
-            cuy = codes_[_key_index(keys_, uu, y, n)]
-            # asym arc directions (True = first->second), valid
-            # only where the dyad is not mutual
-            fux = np.where(uu < x, cux == 1, cux == 2)
-            fuy = np.where(uu < y, cuy == 1, cuy == 2)
-            fxy = np.where(x < y, cxy == 1, cxy == 2)
-            aux, auy, axy = cux != 3, cuy != 3, cxy != 3
-            m_u = (cux == 3).astype(np.int64) + (cuy == 3)
-            o_u = (aux & fux).astype(np.int64) + (auy & fuy)
-            i_u = (aux & ~fux).astype(np.int64) + (auy & ~fuy)
-            m_x = (cux == 3).astype(np.int64) + (cxy == 3)
-            o_x = (aux & ~fux).astype(np.int64) + (axy & fxy)
-            i_x = (aux & fux).astype(np.int64) + (axy & ~fxy)
-            m_y = (cuy == 3).astype(np.int64) + (cxy == 3)
-            o_y = (auy & ~fuy).astype(np.int64) + (axy & ~fxy)
-            i_y = (auy & fuy).astype(np.int64) + (axy & fxy)
-            mm = (cux == 3).astype(np.int64) + (cuy == 3) + (cxy == 3)
-            # triangle class
-            tcls = np.empty(len(x), dtype=np.int64)
-            tcls[mm == 3] = 6                      # 300
-            tcls[mm == 2] = 5                      # 210
-            one = mm == 1
-            if one.any():
-                ow = np.where(m_u == 0, o_u,
-                              np.where(m_x == 0, o_x, o_y))
-                iw = np.where(m_u == 0, i_u,
-                              np.where(m_x == 0, i_x, i_y))
-                tcls[one & (ow == 2)] = 2          # 120D
-                tcls[one & (iw == 2)] = 3          # 120U
-                tcls[one & (ow == 1) & (iw == 1)] = 4   # 120C
-            zero = mm == 0
-            if zero.any():
-                cyc = (i_u == 1) & (o_u == 1) & (i_x == 1) & (o_x == 1)
-                tcls[zero & cyc] = 1               # 030C
-                tcls[zero & ~cyc] = 0              # 030T
-            np.add.at(l3, tcls, 1)
-            for m_, i_, o_ in ((m_u, i_u, o_u), (m_x, i_x, o_x),
-                               (m_y, i_y, o_y)):
-                np.add.at(wd, _corner_wedge_class(m_, i_, o_), 1)
-        return l3, wd
-
-    results = ray.get([census_part.remote(lo, hi) for lo, hi
-                        in _row_ranges(indptr, P)])
+    part = _tasks(_census_part)
+    results = ray.get([part(key_ref, adj_ref, n, lo, hi) for lo, hi
+                       in _row_ranges(indptr, P)])
     l3 = np.zeros(7, dtype=np.int64)
     wd = np.zeros(6, dtype=np.int64)
     for r3, rw in results:

@@ -19,10 +19,26 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-from .superstep import _tasks
-from .triangles import (_canonical_edges, _closed_wedges, _forward_csr,
-                        _forward_by_bucket, _key_index, _rank_of,
-                        _row_ranges, _wedges_by_bucket)
+from .superstep import _map, _tasks
+from .triangles import (_bucket_degrees, _canonical_edges, _closed_wedges,
+                        _forward_by_bucket, _forward_csr, _key_index,
+                        _rank_of, _row_ranges, _split_by,
+                        _wedges_by_bucket)
+
+
+def _support_part(keys, adj, n, lo, hi):
+    """Per-edge triangle counts from the forward CSR rows [lo, hi):
+    each closed wedge credits its closing edge and its two wedge
+    edges."""
+    indptr, fsrc, fdst = adj
+    cnt = np.zeros(len(keys), dtype=np.int64)
+    for i, j, idx in _closed_wedges(indptr, fdst, keys, n,
+                                    np.arange(lo, hi)):
+        u = fsrc[i]
+        cnt += np.bincount(np.concatenate(
+            [idx, _key_index(keys, u, fdst[i], n),
+             _key_index(keys, u, fdst[j], n)]), minlength=len(keys))
+    return cnt
 
 
 def edge_supports(a, b, n, P=8):
@@ -36,22 +52,9 @@ def edge_supports(a, b, n, P=8):
     key_ref = ray.put(keys)
     adj_ref = ray.put((indptr, fsrc, fdst))
 
-    @ray.remote
-    def support_part(lo, hi):
-        indptr_, fsrc_, fdst_ = ray.get(adj_ref)
-        keys_ = ray.get(key_ref)
-        cnt = np.zeros(len(keys_), dtype=np.int64)
-        for i, j, idx in _closed_wedges(indptr_, fdst_, keys_, n,
-                                        np.arange(lo, hi)):
-            u = fsrc_[i]
-            # the closing edge and the two wedge edges
-            cnt += np.bincount(np.concatenate(
-                [idx, _key_index(keys_, u, fdst_[i], n),
-                 _key_index(keys_, u, fdst_[j], n)]), minlength=len(keys_))
-        return cnt
-
-    parts = ray.get([support_part.remote(lo, hi) for lo, hi
-                      in _row_ranges(indptr, P)])
+    part = _tasks(_support_part)
+    parts = ray.get([part(key_ref, adj_ref, n, lo, hi) for lo, hi
+                     in _row_ranges(indptr, P)])
     out = parts[0].copy()    # plasma arrays are read-only views
     for c in parts[1:]:
         out += c
@@ -74,6 +77,40 @@ def k_truss(src, dst, n, k, P=8, max_rounds=1_000):
     return a, b, rounds
 
 
+def _truss_close(K, n, edges, *wparts):
+    """Membership-test a bucket's wedges ``(mid, lo, hi)`` against its
+    edges: the support each edge gets as a closing edge, then per
+    bucket the keys of the found triangles' wedge edges homed there
+    (``lo % K``), to be credited by ``_truss_peel``."""
+    ea, eb = edges
+    keys = ea * np.int64(n) + eb
+    mid, lo, hi = (np.concatenate([p[c] for p in wparts])
+                   for c in range(3))
+    sup = np.zeros(len(keys), dtype=np.int64)
+    m = w = np.empty(0, np.int64)
+    if len(mid) and len(keys):
+        wk = lo * np.int64(n) + hi
+        idx = np.searchsorted(keys, wk).clip(0, len(keys) - 1)
+        hit = keys[idx] == wk
+        np.add.at(sup, idx[hit], 1)
+        m = np.tile(mid[hit], 2)
+        w = np.concatenate([lo[hit], hi[hit]])
+    l2 = np.minimum(m, w)
+    credits = _split_by(l2 % K, K, l2 * np.int64(n) + np.maximum(m, w))
+    return (sup, *(c for (c,) in credits))
+
+
+def _truss_peel(k, n, edges, sup_local, *credit_keys):
+    """A bucket's edges with support >= k - 2 (local support plus the
+    credits from every bucket) and the number dropped."""
+    ea, eb = edges
+    keys = ea * np.int64(n) + eb
+    sup = sup_local.copy()
+    np.add.at(sup, np.searchsorted(keys, np.concatenate(credit_keys)), 1)
+    keep = sup >= k - 2
+    return (ea[keep], eb[keep]), int((~keep).sum())
+
+
 def k_truss_partitioned(src, dst, n, k, K=8, max_rounds=1_000):
     """>node-memory k-truss: edges stay bucketed by ``lo % K`` in the
     object store across peel rounds; each round mirrors
@@ -94,68 +131,24 @@ def k_truss_partitioned(src, dst, n, k, K=8, max_rounds=1_000):
         m = (a % K) == kk
         edge_refs.append(ray.put((a[m], b[m])))
 
-    @ray.remote
-    def degrees(edges):
-        ea, eb = edges
-        v, c = np.unique(np.concatenate([ea, eb]), return_counts=True)
-        return v, c
-
-    @ray.remote
-    def close(edges, *wparts):
-        """Membership-test wedges against this bucket's edges; credit
-        the closing edge locally, ship wedge-edge credits home."""
-        ea, eb = edges
-        keys_ = ea * np.int64(n) + eb
-        mid = np.concatenate([p[0] for p in wparts])
-        lo = np.concatenate([p[1] for p in wparts])
-        hi = np.concatenate([p[2] for p in wparts])
-        sup_local = np.zeros(len(keys_), dtype=np.int64)
-        credits = [[] for _ in range(K)]
-        if len(mid) and len(keys_):
-            wk = lo * np.int64(n) + hi
-            idx = np.searchsorted(keys_, wk).clip(0, len(keys_) - 1)
-            hit = keys_[idx] == wk
-            np.add.at(sup_local, idx[hit], 1)
-            for w in (lo[hit], hi[hit]):
-                l2 = np.minimum(mid[hit], w)
-                h2 = np.maximum(mid[hit], w)
-                k2 = l2 * np.int64(n) + h2
-                tgt = l2 % K
-                for i in range(K):
-                    credits[i].append(k2[tgt == i])
-        out = [np.concatenate(c) if c else np.empty(0, np.int64)
-               for c in credits]
-        return (sup_local, *out)
-
-    @ray.remote
-    def peel(edges, sup_local, *credit_keys):
-        ea, eb = edges
-        keys_ = ea * np.int64(n) + eb
-        sup = sup_local.copy()
-        for ck in credit_keys:
-            if len(ck):
-                np.add.at(sup, np.searchsorted(keys_, ck), 1)
-        keep = sup >= k - 2
-        return (ea[keep], eb[keep]), int((~keep).sum())
-
     forward = _tasks(_forward_by_bucket, K, split=True)
     wedges = _tasks(_wedges_by_bucket, K, split=True)
+    close = _tasks(_truss_close, K + 1)
+    peel = _tasks(_truss_peel, 2)
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        deg_parts = ray.get([degrees.remote(edge_refs[i])
-                             for i in range(K)])
+        deg_parts = ray.get(_map(_bucket_degrees, edge_refs))
         if not any(len(p[0]) for p in deg_parts):
             break
         vp_ref = ray.put(_rank_of(deg_parts))
         fwd = [forward(K, vp_ref, edge_refs[i]) for i in range(K)]
         wref = [wedges(K, *[fwd[j][i] for j in range(K)])
                 for i in range(K)]
-        cref = [close.options(num_returns=K + 1).remote(
-            edge_refs[i], *[wref[j][i] for j in range(K)])
-            for i in range(K)]
-        outs = [peel.options(num_returns=2).remote(
-            edge_refs[i], cref[i][0],
-            *[cref[j][1 + i] for j in range(K)]) for i in range(K)]
+        cref = [close(K, n, edge_refs[i], *[wref[j][i] for j in range(K)])
+                for i in range(K)]
+        outs = [peel(k, n, edge_refs[i], cref[i][0],
+                     *[cref[j][1 + i] for j in range(K)])
+                for i in range(K)]
         edge_refs = [o[0] for o in outs]
         dropped = sum(ray.get([o[1] for o in outs]))
         if dropped == 0:

@@ -324,6 +324,26 @@ def test_checkpoint_rejects_stale_id_format(tmp_path):
     assert step == 3 and len(shards) == 2
 
 
+def test_checkpoint_manifest_size_is_stable(tmp_path, monkeypatch):
+    """Two saves of the same shards write manifests of equal size,
+    whatever the clock reads: the save time is a fixed-width field."""
+    import os
+    from types import SimpleNamespace
+    from leidenalg_ray.dist import checkpoint
+
+    shards = [np.arange(5.0), np.arange(5.0) + 10]
+    sizes = []
+    for name, secs in (("a", 1_700_000_000.5), ("b", 1_700_000_000.25)):
+        monkeypatch.setattr(checkpoint, "time", SimpleNamespace(
+            time=lambda s=secs: s,
+            time_ns=lambda s=secs: int(s * 1e9)))
+        ck = checkpoint.CheckpointManager(str(tmp_path / name), "pr", 2)
+        ck.save(1, shards)
+        sizes.append(os.path.getsize(
+            tmp_path / name / "pr" / "step-000001" / "manifest.json"))
+    assert sizes[0] == sizes[1]
+
+
 def test_leiden_checkpoint_resume(tmp_path):
     g, truth = planted_partition(n_comm=4, per=30, p_in=0.4,
                                  p_out=0.01, seed=21)
@@ -1128,6 +1148,33 @@ def test_leiden_driver_state_community_space(tmp_path, ray_session):
     res = dl2.local_move_level0()
     assert isinstance(res, tuple) and len(res) == 3
     assert np.isscalar(res[0]) or isinstance(res[0], float)
+
+
+def test_membership_out_rewritten_by_another_run(tmp_path):
+    """``membership_out`` written at P=4 and then at P=2 into one
+    directory holds the P=2 run's rows only, every vertex once; a later
+    run at the same P that finds another partition replaces them too.
+    For the single-pass and the multi-pass (``n_iterations=-1``)
+    run."""
+    import pyarrow.parquet as pq
+    g, _ = planted_partition(n_comm=3, per=20, p_in=0.5, p_out=0.02,
+                             seed=8)
+
+    def leiden(P, gamma):
+        return DistLeiden(g.src, g.dst, n=g.n, directed=False,
+                          quality="cpm", resolution_parameter=gamma, P=P,
+                          seed=3)
+
+    for n_iterations in (2, -1):
+        out = str(tmp_path / f"m{n_iterations}")
+        leiden(4, 0.1).run(n_iterations=n_iterations, membership_out=out)
+        for gamma in (0.1, 0.6):
+            leiden(2, gamma).run(n_iterations=n_iterations,
+                                 membership_out=out)
+            mem, _, _ = leiden(2, gamma).run(n_iterations=n_iterations)
+            t = pq.read_table(out).sort_by("vid")
+            assert np.array_equal(t["vid"].to_numpy(), np.arange(g.n))
+            assert np.array_equal(t["comm"].to_numpy(), mem)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Link-prediction / sampling / assortativity vs brute-force numpy."""
+"""Link-prediction / sampling / assortativity vs brute-force numpy, at
+K = 1, 3 and 4 buckets."""
+
+import os
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -30,10 +34,14 @@ def _edges_ds(a, b):
                                    "dst": pa.array(b)}))
 
 
-def test_adamic_adar_matches_bruteforce(random_edges):
+PARTITIONS = (1, 3, 4)
+
+
+@pytest.mark.parametrize("K", PARTITIONS)
+def test_adamic_adar_matches_bruteforce(random_edges, K):
     a, b, n = random_edges
     got = adamic_adar_topk(_edges_ds(a, b), k_top=15,
-                          num_partitions=4).to_pandas()
+                          num_partitions=K).to_pandas()
 
     # brute force over all pairs
     adj = [set() for _ in range(n)]
@@ -60,10 +68,11 @@ def test_adamic_adar_matches_bruteforce(random_edges):
     assert np.allclose(got["aa_score"], [r[3] for r in rows], atol=1e-6)
 
 
-def test_neighbor_sample_matches_bruteforce(random_edges):
+@pytest.mark.parametrize("K", PARTITIONS)
+def test_neighbor_sample_matches_bruteforce(random_edges, K):
     a, b, n = random_edges
     got = neighbor_sample(_edges_ds(a, b), fanout=3,
-                         num_partitions=4).to_pandas()
+                         num_partitions=K).to_pandas()
     got = got.sort_values(["src", "rk"]).reset_index(drop=True)
 
     src = np.concatenate([a, b])
@@ -86,11 +95,30 @@ def test_neighbor_sample_matches_bruteforce(random_edges):
     assert got.groupby("src").size().max() <= 3
 
 
-def test_assortativity_matches_numpy(random_edges):
+@pytest.mark.parametrize("K", PARTITIONS)
+def test_assortativity_matches_numpy(random_edges, K):
     a, b, n = random_edges
-    r = degree_assortativity(_edges_ds(a, b), num_partitions=4)
+    r = degree_assortativity(_edges_ds(a, b), num_partitions=K)
     deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     x = np.concatenate([deg[a], deg[b]]).astype(np.float64)
     y = np.concatenate([deg[b], deg[a]]).astype(np.float64)
     expect = np.corrcoef(x, y)[0, 1]
     assert r == pytest.approx(expect, abs=1e-9)
+
+
+def test_spill_dirs_removed(random_edges, tmp_path, monkeypatch):
+    """The three operators leave no spill directory of their own in
+    the temp directory, and keep a caller's ``spill_dir``."""
+    a, b, n = random_edges
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    adamic_adar_topk(_edges_ds(a, b), k_top=5, num_partitions=3)
+    degree_assortativity(_edges_ds(a, b), num_partitions=3)
+    neighbor_sample(_edges_ds(a, b), fanout=2, num_partitions=3).count()
+    assert not [d for d in os.listdir(scratch) if d.startswith("lray_")]
+    own = tmp_path / "own"
+    got = degree_assortativity(_edges_ds(a, b), num_partitions=3,
+                               spill_dir=str(own))
+    assert got == degree_assortativity(_edges_ds(a, b), num_partitions=3)
+    assert any(d.startswith("part=") for d in os.listdir(own))

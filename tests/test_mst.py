@@ -92,15 +92,16 @@ def test_mst_partition_invariance(ray_session):
     n = 45
     src, dst, w = _er_graph(n, 250, seed=3)
     totals = []
-    for P in (3, 8):
+    for P in (1, 3, 8):
         g = DistGraph.from_edges(src, dst, w, n=n, P=P,
                                  directed=False,
                                  both_directions=True)
         info, _ = minimum_spanning_forest(g)
         totals.append((info["total_weight"],
                        tuple(sorted(_mst_edge_set(info)))))
-    assert totals[0][0] == pytest.approx(totals[1][0])
-    assert totals[0][1] == totals[1][1]
+    for total, edges in totals[1:]:
+        assert total == pytest.approx(totals[0][0])
+        assert edges == totals[0][1]
 
 
 def test_mst_disconnected_forest(ray_session):

@@ -8,7 +8,9 @@ import itertools
 import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
+import ray
 
 from leidenalg_ray.dist import triangles as T
 from leidenalg_ray.dist.truss import edge_supports
@@ -112,12 +114,12 @@ def _dyads(src, dst, n):
 
 
 def _per_vertex_array(ds, n):
-    """The ``(v, count)`` Dataset as a dense array (a zero-row
-    Dataset converts to a frame without columns)."""
-    df = ds.to_pandas()
+    """The ``(v, count())`` Dataset as a dense array, read through its
+    Arrow blocks (Ray Data's ``to_pandas()`` drops the columns of a
+    zero-row Dataset)."""
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
     full = np.zeros(n, dtype=np.int64)
-    if len(df):
-        full[df["v"].to_numpy()] = df["count()"].to_numpy()
+    full[t["v"].to_numpy()] = t["count()"].to_numpy()
     return full
 
 
@@ -190,6 +192,8 @@ def test_edge_cases(case):
     total, ds = T.triangle_count_arrays(src, dst, n, num_partitions=2,
                                         per_vertex=True)
     assert total == want["total"]
+    assert ds.schema().names == ["v", "count()"]
+    assert ds.schema().types == [pa.int64(), pa.int64()]
     assert np.array_equal(_per_vertex_array(ds, n), want["per_vertex"])
 
 
@@ -267,7 +271,6 @@ def test_partitioned_spill_dir(tmp_path, monkeypatch):
     a caller's ``spill_dir`` is left in place."""
     import tempfile
 
-    import pyarrow as pa
     import ray.data as rd
 
     src, dst, n = _hub_graph()
@@ -276,7 +279,7 @@ def test_partitioned_spill_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     want = _brute(src, dst, n)["total"]
     assert T.triangle_count_arrays(src, dst, n, num_partitions=3) == want
-    assert not [d for d in os.listdir(scratch) if d.startswith("lray_tri_")]
+    assert not [d for d in os.listdir(scratch) if d.startswith("lray_")]
     own = tmp_path / "own"
     ds = rd.from_arrow(pa.table({"src": src, "dst": dst}))
     assert T.triangle_count(ds, 3, spill_dir=str(own)) == want

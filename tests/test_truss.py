@@ -76,10 +76,11 @@ def test_k_truss_partitioned_matches_broadcast():
         a1, b1, _ = k_truss(src, dst, n, k=k, P=3)
         a2, b2, _ = k_truss_partitioned(src, dst, n, k=k, K=3)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-    # K-invariance
-    a3, b3, _ = k_truss_partitioned(src, dst, n, k=4, K=5)
+    # K-invariance, one bucket included
     a1, b1, _ = k_truss(src, dst, n, k=4, P=2)
-    assert np.array_equal(a1, a3) and np.array_equal(b1, b3)
+    for K in (1, 5):
+        a3, b3, _ = k_truss_partitioned(src, dst, n, k=4, K=K)
+        assert np.array_equal(a1, a3) and np.array_equal(b1, b3)
 
 
 def test_edge_jaccard_matches_bruteforce():
