@@ -1,7 +1,10 @@
 """Distributed Leiden (SURVEY.md §4.3.2, §7.1.4).
 
 Level 0 — where the graph is huge — runs as synchronous supersteps over
-hash-partitioned incidence blocks held by P ``LeidenShard`` actors:
+P hash-partitioned ``LeidenShard`` incidence blocks, held on
+H = min(P, cluster CPUs) ``_ShardHost`` actors (host h holds the shards
+p ≡ h mod H and runs them in its own thread pool; each round is one
+batched call per host, ``DistLeiden._fan``):
 
 1. *gather/propose*: each shard computes per-vertex
    neighbour-community weights (partial-aggregated inside the block)
@@ -37,14 +40,15 @@ remaining levels run the exact in-memory schedule
 
 Scale notes: the driver holds O(n) state (membership, node sizes,
 community stats) but never O(edges); edges live only in the shard
-actors (or, for ``from_dataset``, in partitioned parquet spill that
-doubles as the resumable L0 input). Each shard's resident state is
-O((n + E)/P): membership only for the vids its block references
-(``ref_vids``/``mem_ref``) and community stats compressed to its
-tracked labels (``stat_labels``), with driver-authoritative values
-upserted from each move broadcast. Full O(n) arrays appear on shards
-only transiently, as zero-copy reads of broadcast objects at cycle
-boundaries (init/rollback), and are sliced before retention.
+hosts (``from_dataset`` routes them through a partitioned parquet
+spill that each shard loads its own partition from). Each shard's
+resident state is O((n + E)/P): membership only for the vids its
+block references (``ref_vids``/``mem_ref``) and community stats
+compressed to its tracked labels (``stat_labels``), with
+driver-authoritative values upserted from each move broadcast. Full
+O(n) arrays appear on shards only transiently, as zero-copy reads of
+broadcast objects at cycle boundaries (init/rollback), and are sliced
+before retention.
 
 All six quality families run distributed. The linear ones
 (Modularity, RBConfiguration, RBER, CPM, Significance) evaluate move
@@ -534,16 +538,14 @@ def _build_leiden_block(p, P, src, dst, weight, lay):
     }
 
 
-@ray.remote(num_cpus=0)
 class LeidenShard:
     """One partition's state: incidence block + per-vertex shards +
     membership over the shard's REFERENCED vids only and
     label-compressed community stats — O((n + E)/P) resident, no O(n)
-    array per actor. Full arrays are read zero-copy from broadcast
+    array per shard. Full arrays are read zero-copy from broadcast
     objects only at cycle boundaries (init/rollback) and sliced.
-    ``num_cpus=0`` so a small test cluster isn't starved while the
-    pool idles between supersteps; on a real cluster pin via custom
-    resources."""
+    Lives in a ``_ShardHost``, which never runs two calls on one shard
+    at once."""
 
     def __init__(self, p, P, block=None, parquet_dir=None):
         self.p, self.P = int(p), int(P)
@@ -610,7 +612,7 @@ class LeidenShard:
         self._cblocks_nc = 0
 
     def load_level(self, block):
-        """Reuse this actor for the next (smaller) level's graph."""
+        """Reuse this shard for the next (smaller) level's graph."""
         self._set_block(block)
         self.mem_ref = None
         self.stat_labels = None
@@ -621,13 +623,18 @@ class LeidenShard:
         return True
 
     def reload_parquet(self):
-        """Restore this actor's LEVEL-0 block from its parquet spill
-        (probe runs mutate blocks across levels) so one shard pool can
+        """Restore this shard's LEVEL-0 block from its parquet spill
+        (probe runs mutate blocks across levels) so one host pool can
         serve many optimisation runs — e.g. every gamma probe of a
-        resolution profile — without P actor respawns per run."""
+        resolution profile — without actor respawns per run."""
         if self.parquet_dir is None:
             raise ValueError("shard was not parquet-backed")
         return self.load_level(self._load_parquet(self.parquet_dir))
+
+    def forget_parquet(self):
+        """The spill is gone: ``reload_parquet`` raises from now on."""
+        self.parquet_dir = None
+        return True
 
     def set_fixed(self, fixed):
         """Adopt the full fixed-membership mask (zero-copy broadcast
@@ -640,8 +647,8 @@ class LeidenShard:
         return True
 
     # ------------------------------------------------------------------
-    def vertex_summary(self, n, directed, node_sizes_shard=None,
-                       n_layers=1):
+    def vertex_summary(self, n, directed, n_layers=1,
+                       node_sizes_shard=None):
         """Compute per-vertex shards from the incidence block, one row
         per layer; return the per-layer global-scalar partials the
         driver needs. ``node_sizes_shard``: (L, n_local) — per-layer
@@ -674,7 +681,7 @@ class LeidenShard:
         np.add.at(deg, sl, 1)
         # the shard's referenced vid set (own vertices + block
         # neighbours) and the precomputed lookup indices into it — the
-        # only membership this actor ever needs
+        # only membership this shard ever needs
         own_vids = np.arange(n_local, dtype=np.int64) * P + p
         self._own_hash = _colour_hash(own_vids)
         self.ref_vids = np.union1d(own_vids, dst)
@@ -779,7 +786,9 @@ class LeidenShard:
         rv = self.ref_vids
         code = np.full(len(rv), -1, dtype=np.int64)
         for vv, ll in refined_parts:
-            if len(vv) == 0:
+            # a shard with no vertex (n < P at an upper level) has
+            # nothing to look up
+            if len(vv) == 0 or len(rv) == 0:
                 continue
             i = np.searchsorted(rv, vv)
             i = np.minimum(i, len(rv) - 1)
@@ -791,7 +800,7 @@ class LeidenShard:
         self.ref_code = code
         if sticky:
             # sticky own-vertex codes survive load_level so the final
-            # unwind can map this actor's ORIGINAL level-0 vertices
+            # unwind can map this shard's ORIGINAL level-0 vertices
             self.sticky_code = code[self.own_ref_idx].copy()
         return True
 
@@ -848,7 +857,7 @@ class LeidenShard:
 
     def final_label_partials(self, upper_map):
         """Per-final-label (count, min vid) partials over this
-        actor's ORIGINAL level-0 vertices (``sticky_code``), for the
+        shard's ORIGINAL level-0 vertices (``sticky_code``), for the
         driver's community-space renumber. ``upper_map`` maps level-0
         refined codes -> final labels."""
         um = np.asarray(upper_map)
@@ -862,7 +871,7 @@ class LeidenShard:
 
     def final_own_labels(self, upper_map, relabel_keys=None,
                          relabel_vals=None):
-        """Final labels for this actor's original level-0 vertices:
+        """Final labels for this shard's original level-0 vertices:
         ``upper_map[sticky_code]``, optionally remapped through the
         driver's (community-space) relabel table."""
         um = np.asarray(upper_map)
@@ -873,7 +882,7 @@ class LeidenShard:
         return fl
 
     def fixed_label_partials(self, upper_map, seed0, fixed):
-        """(final label, seeded label) pairs for this actor's original
+        """(final label, seeded label) pairs for this shard's original
         fixed vertices — the community-space inputs of the
         label-preserving fixed remap. ``seed0``/``fixed`` are the
         user-provided broadcast arrays, read zero-copy and sliced."""
@@ -1084,7 +1093,7 @@ class LeidenShard:
              snapshot=False, step_no=None, rand=None):
         """Apply the previously-committed moves (broadcast deltas) —
         or adopt a driver-verified stats upsert ``push`` at a cycle
-        boundary — then propose for the given colour: one actor round
+        boundary — then propose for the given colour: one host round
         per colour superstep, no full-array broadcast in the steady
         state. ``snapshot=True`` (the cycle's first colour) saves the
         post-push state for a possible rollback — the shard-resident
@@ -1124,7 +1133,7 @@ class LeidenShard:
         # rand_neighbor draws are seeded per (run seed, shard,
         # superstep). The driver passes its global superstep counter
         # (checkpoint-resumed runs continue the sequence instead of
-        # replaying from 0); the per-actor counter is only the
+        # replaying from 0); the per-shard counter is only the
         # fallback for driverless calls (safe cycles).
         self._step_no = getattr(self, "_step_no", 0) + 1
         sn = self._step_no if step_no is None else int(step_no)
@@ -1242,6 +1251,50 @@ class LeidenShard:
                  ly[bounds[r]:bounds[r + 1]]) for r in range(R)]
 
 
+@ray.remote(num_cpus=0)
+class _ShardHost:
+    """One worker process holding the shards p ≡ h (mod H) — the
+    Pregelix layout: partitions on a fixed set of workers, not one
+    process per partition. ``blocks`` (one per shard in ``ps``, as
+    top-level arguments so Ray resolves them) or ``parquet_dir`` give
+    the level-0 blocks. ``num_cpus=0`` so a small test cluster isn't
+    starved while the hosts idle between supersteps; on a real cluster
+    pin via custom resources."""
+
+    def __init__(self, ps, P, parquet_dir, *blocks):
+        from concurrent.futures import ThreadPoolExecutor
+        self._pool = ThreadPoolExecutor(max_workers=len(ps))
+        blocks = blocks or [None] * len(ps)
+        self.shards = dict(zip(ps, self._pool.map(
+            lambda p, b: LeidenShard(p, P, block=b,
+                                     parquet_dir=parquet_dir),
+            ps, blocks)))
+
+    def each(self, ps, name, split, *args):
+        """Run shard method ``name`` on every shard in ``ps`` in this
+        host's thread pool (numpy releases the GIL, so shards overlap)
+        and return the results in ``ps`` order. ``split``: the last
+        ``len(ps)`` arguments are one per shard, each passed after the
+        shared ones. The host itself is a single-threaded actor, so
+        calls to one shard never overlap."""
+        if split:
+            args, own = args[:-len(ps)], [(a,) for a in args[-len(ps):]]
+        else:
+            own = [()] * len(ps)
+        return list(self._pool.map(
+            lambda p, o: getattr(self.shards[p], name)(*args, *o),
+            ps, own))
+
+    def call(self, p, name, *args):
+        """Run one shard's method; for ``num_returns=R`` fan-outs over
+        a method that returns R values. A one-element list comes back
+        as its element, since ``num_returns=1`` stores the whole
+        return value as one object."""
+        out = getattr(self.shards[p], name)(*args)
+        return out[0] if isinstance(out, list) and len(out) == 1 \
+            else out
+
+
 @ray.remote(num_returns=3)
 def _refine_bucket(layers_cfg, correct_self_loops,
                    directed, seed, max_comm_size, refine_max,
@@ -1357,7 +1410,7 @@ def _refine_bucket(layers_cfg, correct_self_loops,
 
 class DistLeiden:
     """Distributed Leiden driver. Hybrid: distributed level 0 over the
-    shard-actor pool + exact in-memory tail on the (small) aggregate.
+    shard-host pool + exact in-memory tail on the (small) aggregate.
 
     Construct from driver arrays (``__init__`` — small/aggregate
     graphs) or from a Ray Data edge Dataset (``from_dataset`` — the
@@ -1450,19 +1503,24 @@ class DistLeiden:
                 "recognised candidate-set mode")
         self.consider_comms = consider_comms
         self._corr_loops_arg = correct_self_loops
+        # one host actor per logical CPU, host h holding the shards
+        # p ≡ h (mod H): P worker processes would start only as many at
+        # a time as there are CPUs
+        H = len(_actors) if _actors is not None else max(1, min(
+            self.P, int(ray.cluster_resources().get("CPU", 1))))
+        self._hosted = [list(range(h, self.P, H)) for h in range(H)]
 
         if _parquet_dir is not None:
             self.node_size = self._norm_sizes(node_sizes)
             if _actors is not None:
                 # recycle a parquet-backed pool (e.g. the previous
                 # resolution-profile probe): reload level-0 blocks
-                # instead of respawning P actors
+                # instead of respawning the hosts
                 self.actors = _actors
-                ray.get([a.reload_parquet.remote() for a in _actors])
+                self._fan("reload_parquet")
             else:
-                self.actors = [LeidenShard.remote(
-                    p, P, parquet_dir=_parquet_dir)
-                    for p in range(P)]
+                self.actors = [_ShardHost.remote(ps, P, _parquet_dir)
+                               for ps in self._hosted]
             self._finish_init(node_sizes)
             return
 
@@ -1495,12 +1553,26 @@ class DistLeiden:
                   for p in range(P)]
         if _actors is not None:      # reuse the pool across levels
             self.actors = _actors
-            ray.get([a.load_level.remote(b)
-                     for a, b in zip(_actors, blocks)])
+            self._fan("load_level", per_shard=blocks)
         else:
-            self.actors = [LeidenShard.remote(p, P, block=blocks[p])
-                           for p in range(P)]
+            self.actors = [_ShardHost.remote(ps, P, None,
+                                             *[blocks[p] for p in ps])
+                           for ps in self._hosted]
         self._finish_init(node_sizes)
+
+    def _fan(self, name, *args, per_shard=None):
+        """Run shard method ``name`` on all P shards — one batched call
+        per host — and return the P results in shard order.
+        ``per_shard``: P values, shard p's passed after ``args``."""
+        refs = [host.each.remote(
+            ps, name, per_shard is not None, *args,
+            *([] if per_shard is None else [per_shard[p] for p in ps]))
+            for host, ps in zip(self.actors, self._hosted)]
+        out = [None] * self.P
+        for ps, res in zip(self._hosted, ray.get(refs)):
+            for p, r in zip(ps, res):
+                out[p] = r
+        return out
 
     def _norm_sizes(self, node_sizes):
         """node_sizes -> (L, n) float array (None -> all ones)."""
@@ -1517,9 +1589,8 @@ class DistLeiden:
         P, n, L = self.P, self.n, self.L
         shards = [None] * P if node_sizes is None else \
             [self.node_size[:, p::P] for p in range(P)]
-        sums = ray.get([a.vertex_summary.remote(n, self.directed,
-                                                shards[p], L)
-                        for p, a in enumerate(self.actors)])
+        sums = self._fan("vertex_summary", n, self.directed, L,
+                         per_shard=shards)
         m_k = np.sum([s["m"] for s in sums], axis=0)
         size_k = np.sum([s["size"] for s in sums], axis=0)
         for k, lc in enumerate(self.layers_cfg):
@@ -1558,7 +1629,7 @@ class DistLeiden:
             "seed": (int(self.seed) if np.isscalar(self.seed)
                      else 42),
         }
-        ray.get([a.set_config.remote(scal) for a in self.actors])
+        self._fan("set_config", scal)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1571,23 +1642,27 @@ class DistLeiden:
                      consider_comms="all_neighbors"):
         """Dataset-native construction: edges Dataset(src, dst
         [, weight][, layer]) -> symmetrised incidence rows ->
-        partitioned parquet spill (the resumable L0 input) -> each
-        shard actor loads only its own partition's files. The driver
-        never materialises the edge list (SURVEY.md §4.3.1). A
+        partitioned parquet spill -> each shard loads only its own
+        partition's files. The driver never materialises the edge
+        list (SURVEY.md §4.3.1). A spill directory this call makes
+        itself is removed once the shards hold their blocks (so
+        ``reload_parquet`` then raises); a caller's ``spill_dir`` is
+        kept and can be reloaded from. A
         ``layer`` column makes this a multiplex graph: one membership
         across layers, Q = sum_k lambda_k Q_k (``quality`` /
         ``resolution_parameter`` / ``layer_weights`` may be per-layer
         lists; reference ``functions.py:95-176``)."""
-        import os
+        import shutil
         import tempfile
         import pyarrow as pa
 
+        own_spill = spill_dir is None
         spill_dir = spill_dir or tempfile.mkdtemp(prefix="lray_leiden_")
         os.makedirs(spill_dir, exist_ok=True)
         Pv = int(P)
 
         # A layer column with no explicit per-layer config would
-        # otherwise leave L=1 in __init__ and crash shard actors with
+        # otherwise leave L=1 in __init__ and crash the shards with
         # an out-of-bounds IndexError on the first gather. Infer the
         # layer count from the data (one column-pruned scan) so the
         # documented "a layer column makes this multiplex" usage works.
@@ -1629,17 +1704,23 @@ class DistLeiden:
         edges_ds.map_batches(incidence, batch_format="pyarrow",
                              zero_copy_batch=True) \
             .write_parquet(spill_dir, partition_cols=["part"])
-        return cls(n=n, directed=directed, quality=quality,
-                   resolution_parameter=resolution_parameter, P=Pv,
-                   seed=seed, n_colors=n_colors,
-                   correct_self_loops=correct_self_loops,
-                   max_comm_size=max_comm_size, node_sizes=node_sizes,
-                   layer_weights=layer_weights, n_layers=n_layers,
-                   min_comm_size=min_comm_size,
-                   community_constraint_enforcement=(
-                       community_constraint_enforcement),
-                   consider_comms=consider_comms,
-                   _parquet_dir=spill_dir)
+        dl = cls(n=n, directed=directed, quality=quality,
+                 resolution_parameter=resolution_parameter, P=Pv,
+                 seed=seed, n_colors=n_colors,
+                 correct_self_loops=correct_self_loops,
+                 max_comm_size=max_comm_size, node_sizes=node_sizes,
+                 layer_weights=layer_weights, n_layers=n_layers,
+                 min_comm_size=min_comm_size,
+                 community_constraint_enforcement=(
+                     community_constraint_enforcement),
+                 consider_comms=consider_comms,
+                 _parquet_dir=spill_dir)
+        if own_spill:
+            # the hosts hold their blocks now and nothing else knows
+            # this directory; a caller's spill_dir stays theirs
+            dl._fan("forget_parquet")
+            shutil.rmtree(spill_dir, ignore_errors=True)
+        return dl
 
     @classmethod
     def bipartite(cls, src=None, dst=None, types=None, weight=None,
@@ -1821,10 +1902,8 @@ class DistLeiden:
                       ("w_in", "s_out", "s_in", "size")}
             mem_ref = ray.put(mem)
             # shards recompute against the pushed membership
-            ray.get([a.set_state.remote(mem_ref, stats0)
-                     for a in self.actors])
-        parts = ray.get([a.stats_partials.remote(moves_ref)
-                         for a in self.actors])
+            self._fan("set_state", mem_ref, stats0)
+        parts = self._fan("stats_partials", moves_ref)
         M = 2 * self.n
         w_in = np.zeros((self.L, M))
         s_out = np.zeros((self.L, M))
@@ -1955,8 +2034,7 @@ class DistLeiden:
         compress to their referenced labels."""
         stats_ref = ray.put(stats)
         agg0 = self._term_sum(stats)
-        ray.get([a.set_stats.remote(stats_ref, agg0)
-                 for a in self.actors])
+        self._fan("set_stats", stats_ref, agg0)
 
     def local_move_level0(self, mem=None, max_supersteps=200,
                           min_rel_improvement=1e-9, checkpoint=None,
@@ -1973,7 +2051,7 @@ class DistLeiden:
         caller-supplied warm seed (broadcast once, zero-copy reads)
         and the per-cycle checkpoint gather when checkpointing is on.
 
-        Each colour superstep is ONE round of shard-actor calls
+        Each colour superstep is ONE round of shard-host calls
         (``step`` = apply previous colour's committed deltas +
         propose). Once per colour cycle the stats are recomputed from
         shard partials and quality verified: a cycle that decreased
@@ -2008,8 +2086,8 @@ class DistLeiden:
                     resumed_metrics = metrics
         fref = None if fixed is None \
             else ray.put(np.asarray(fixed, dtype=bool))
-        ray.get([a.set_fixed.remote(fref) for a in self.actors])
-        ray.get([a.init_mem.remote(seed_ref) for a in self.actors])
+        self._fan("set_fixed", fref)
+        self._fan("init_mem", seed_ref)
         import time as _time
         tm = self._lm_timings = {"step_rounds": 0.0, "stats_sync": 0.0,
                                  "commit": 0.0}
@@ -2054,11 +2132,8 @@ class DistLeiden:
                         "pool": pool, "labels": labs,
                         "vals": {k: stats[k][:, labs].copy()
                                  for k in stats}})
-                rets = ray.get([a.step.remote(pending_ref, color,
-                                              cur_colors, stats_push,
-                                              snapshot, step,
-                                              rand_ref)
-                                for a in self.actors])
+                rets = self._fan("step", pending_ref, color, cur_colors,
+                                 stats_push, snapshot, step, rand_ref)
                 props = [r[0] for r in rets]
                 tm["step_rounds"] += _time.time() - t0
                 t0 = _time.time()
@@ -2171,9 +2246,8 @@ class DistLeiden:
                 # Every 16th cycle still runs the full recompute as a
                 # float-crumb cleanup / self-check.
                 if pending_ref is not None:
-                    rets = ray.get([a.step.remote(pending_ref, None,
-                                                  cur_colors)
-                                    for a in self.actors])
+                    rets = self._fan("step", pending_ref, None,
+                                     cur_colors)
                     pending_ref = None
                     cycle_exact &= self._apply_corr(
                         [r[1] for r in rets], stats, corr_dirty)
@@ -2202,8 +2276,7 @@ class DistLeiden:
                     # stats are re-derived from the restored shards —
                     # cheaper than the per-cycle O(n) driver copy the
                     # rare rollback used to justify.
-                    ray.get([a.restore_state.remote()
-                             for a in self.actors])
+                    self._fan("restore_state")
                     stats = self._stats_of()
                     corr_dirty[:] = False
                     stats, q2, safe_moves = self._safe_cycle(stats)
@@ -2241,8 +2314,7 @@ class DistLeiden:
                     # cycle may trade raw quality for the constraint —
                     # the in-memory kernel allows that too, so the
                     # monotone-rollback check stands down)
-                    ray.get([a.restore_state.remote()
-                             for a in self.actors])
+                    self._fan("restore_state")
                     stats = self._stats_of()
                     corr_dirty[:] = False
                     stats, q2, safe_moves = self._safe_cycle(stats)
@@ -2281,8 +2353,7 @@ class DistLeiden:
             tm["stats_sync"] += _time.time() - t0
             if ckpt is not None:
                 # transient O(n) gather, checkpointing only
-                slices = ray.get([a.own_mem.remote()
-                                  for a in self.actors])
+                slices = self._fan("own_mem")
                 ckpt.save(start_cycle + cycle_no, slices,
                           metrics={"quality": q, "step": step,
                                    "moves": int(cycle_moves),
@@ -2298,8 +2369,7 @@ class DistLeiden:
             stats = self._stats_of(moves_ref=pending_ref)
             q = self._quality_of(stats)
         else:
-            ray.get([a.step.remote(None, None, cur_colors, stats_push)
-                     for a in self.actors])
+            self._fan("step", None, None, cur_colors, stats_push)
         return q, step, history
 
     def _safe_cycle(self, stats):
@@ -2310,8 +2380,7 @@ class DistLeiden:
         self._push_stats(stats)
         total_moves = 0
         for color in range(self.n_colors):
-            rets = ray.get([a.step.remote(None, color, self.n_colors)
-                            for a in self.actors])
+            rets = self._fan("step", None, color, self.n_colors)
             mv = self._concat_props([r[0] for r in rets])
             if len(mv["vids"]) == 0:
                 continue
@@ -2360,13 +2429,14 @@ class DistLeiden:
         community-space (refined label -> parent community) seed pairs
         and the giant count. Returns (refined_refs, seed_pairs)."""
         R = max(self.P, 1)
-        bucket_refs = [a.internal_edge_buckets.options(
-            num_returns=R).remote(R) for a in self.actors]
-        group_refs = [a.refine_group_partials.options(
-            num_returns=R).remote(R) for a in self.actors]
-        if R == 1:
-            bucket_refs = [[r] for r in bucket_refs]
-            group_refs = [[r] for r in group_refs]
+
+        def split(name):
+            # R refs per shard; shard p lives on host p % H
+            refs = [self.actors[p % len(self.actors)].call.options(
+                num_returns=R).remote(p, name, R) for p in range(self.P)]
+            return refs if R > 1 else [[r] for r in refs]
+        bucket_refs = split("internal_edge_buckets")
+        group_refs = split("refine_group_partials")
         outs = [_refine_bucket.remote(
             self.layers_cfg, self.correct_self_loops, self.directed,
             self.seed, self.max_comm_size, self.REFINE_MAX, self.P,
@@ -2401,11 +2471,8 @@ class DistLeiden:
         labels = np.unique(sl)
         nl = len(labels)
         lab_ref = ray.put(labels)
-        ray.get([a.adopt_refined.remote(lab_ref, sticky, *refined_refs)
-                 for a in self.actors])
-        parts = ray.get([a.agg_partials_sharded.remote(nl,
-                                                       self.directed)
-                         for a in self.actors])
+        self._fan("adopt_refined", lab_ref, sticky, *refined_refs)
+        parts = self._fan("agg_partials_sharded", nl, self.directed)
         keys = np.concatenate([p[0] for p in parts])
         ws = np.concatenate([p[1] for p in parts])
         uniq, inv = np.unique(keys, return_inverse=True)
@@ -2432,7 +2499,7 @@ class DistLeiden:
         """Assemble the full vid -> refined-code map from shard slices
         — used ONLY for the small upper levels (community-space from
         level 1 on), never for level 0."""
-        slices = ray.get([a.own_codes.remote() for a in self.actors])
+        slices = self._fan("own_codes")
         m = np.empty(self.n, dtype=np.int64)
         for p in range(self.P):
             m[p::self.P] = slices[p]
@@ -2441,8 +2508,7 @@ class DistLeiden:
     def _agg_fixed_mask(self, nl):
         """Fixed mask over the refined codes (an aggregate containing
         a fixed vertex is fixed) from shard partials."""
-        parts = ray.get([a.fixed_code_partials.remote()
-                         for a in self.actors])
+        parts = self._fan("fixed_code_partials")
         mask = np.zeros(nl, dtype=bool)
         for u in parts:
             mask[u] = True
@@ -2522,7 +2588,7 @@ class DistLeiden:
                   initial_membership=None, is_membership_fixed=None,
                   membership_out=None, tag_prefix=""):
         """One full multi-level pass: distributed local-move + refine +
-        aggregate per level (the shard-actor pool is reused across
+        aggregate per level (the shard-host pool is reused across
         levels). The exact in-memory schedule runs only on genuinely
         small aggregates (edge count below ``tail_max_edges``);
         edge-dense aggregates keep iterating distributed levels until
@@ -2704,8 +2770,7 @@ class DistLeiden:
         um_ref = ray.put(upper_map)
 
         # community-space renumber from shard partials
-        parts = ray.get([a.final_label_partials.remote(um_ref)
-                         for a in self.actors])
+        parts = self._fan("final_label_partials", um_ref)
         ulab = np.unique(np.concatenate([p[0] for p in parts]))
         counts = np.zeros(len(ulab), dtype=np.int64)
         minv = np.full(len(ulab), np.iinfo(np.int64).max)
@@ -2724,8 +2789,8 @@ class DistLeiden:
             # test_Optimiser.py:145-164).
             s0_ref = ray.put(seed0)
             fx_ref = ray.put(fixed)
-            fparts = ray.get([a.fixed_label_partials.remote(
-                um_ref, s0_ref, fx_ref) for a in self.actors])
+            fparts = self._fan("fixed_label_partials", um_ref, s0_ref,
+                               fx_ref)
             fix_lab = np.full(len(ulab), -1, dtype=np.int64)
             for fl, sl_ in fparts:
                 i = np.searchsorted(ulab, fl)
@@ -2757,14 +2822,13 @@ class DistLeiden:
             # partition clears the parts instead of keeping them
             _claim_output(membership_out, self.n, self.P, "comm",
                           quality=float(quality))
-            rows = ray.get([a.write_final.remote(
-                membership_out, um_ref, keys_ref, vals_ref)
-                for a in self.actors])
+            rows = self._fan("write_final", membership_out, um_ref,
+                             keys_ref, vals_ref)
             info["membership_rows"] = int(sum(rows))
             info["membership_path"] = membership_out
             return None, quality, info
-        slices = ray.get([a.final_own_labels.remote(
-            um_ref, keys_ref, vals_ref) for a in self.actors])
+        slices = self._fan("final_own_labels", um_ref, keys_ref,
+                           vals_ref)
         final = np.empty(self.n, dtype=np.int64)
         for p in range(self.P):
             final[p::self.P] = slices[p]

@@ -31,6 +31,8 @@ O(E log V) work over O(log V) rounds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import ray
 
@@ -136,10 +138,10 @@ def _count_changed(old, new):
 
 def _write_edges(u, v, w, out_dir, rnd, p):
     """Shard p's edges selected in round ``rnd`` as their part file;
-    returns their count and weight sum."""
+    returns their count and correctly rounded weight sum."""
     _write_part(out_dir, f"part-r{rnd:03d}-p{p:05d}.parquet",
                 {"u": u, "v": v, "weight": w})
-    return len(u), float(np.sum(w))
+    return len(u), math.fsum(w)
 
 
 def minimum_spanning_forest(g: DistGraph, max_rounds=64,
@@ -161,13 +163,13 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
     tgt_dense = _tasks(_tgt_dense)
     elect = _tasks(_elect, 4)
     if result_out is not None:
-        _claim_output(result_out, n, P, "weight")
+        _claim_output(result_out, n, P, "weight", max_rounds=max_rounds)
         write = _tasks(_write_edges)
 
     comp_refs = [ray.put(np.arange(p, n, P, dtype=np.int64))
                  for p in range(P)]
     edge_refs = []           # (u_ref, v_ref, w_ref) per emission
-    total_weight = 0.0
+    part_sums = []           # per written part, result_out only
     n_edges = 0
     rnd = 0
     for rnd in range(max_rounds):
@@ -192,7 +194,7 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
                                   elected[r][3], result_out, rnd, r)
                             for r in range(P)])
             n_edges += int(sum(c for c, _ in rows))
-            total_weight += float(sum(w for _, w in rows))
+            part_sums += [w for _, w in rows]
         else:
             for r in range(P):
                 edge_refs.append((elected[r][1], elected[r][2],
@@ -209,7 +211,7 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
         comp_refs = _lookup(P, ptr_refs, comp_refs)
     if result_out is not None:
         return {"path": result_out, "rows": n_edges,
-                "total_weight": round(total_weight, 9),
+                "total_weight": round(math.fsum(part_sums), 9),
                 "n_edges": n_edges}, rnd + 1
     us, vs, ws = [], [], []
     for (ur, vr, wr) in edge_refs:
@@ -220,6 +222,8 @@ def minimum_spanning_forest(g: DistGraph, max_rounds=64,
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
     w = np.concatenate(ws) if ws else np.zeros(0)
     return {"u": u, "v": v, "weight": w,
-            "total_weight": float(w.sum()),
+            # correctly rounded, so the same forest gives the same
+            # total at any P (a plain sum follows the emission order)
+            "total_weight": math.fsum(w),
             "n_edges": int(len(u))}, rnd + 1
 

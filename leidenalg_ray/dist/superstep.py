@@ -19,7 +19,8 @@ against one runtime of private helpers:
   only folds the reduce's last output, a per-partition scalar metric
   (summed by default). Correct at any P >= 1.
 - ``_fixed_point(g, algo, state_refs, step, converged, max_iter,
-  checkpoint, result_out, column)`` — the loop of every checkpointed
+  checkpoint, result_out, column, **identity)`` — the loop of every
+  checkpointed
   kernel: resume from ``<checkpoint>/<algo>/`` (returning at once when
   the checkpointed run had converged), ``step`` until
   ``converged(metrics)`` or ``max_iter`` supersteps, save the shards
@@ -56,7 +57,9 @@ remote functions (``_run``, ``_run_split``) — no actor, no long-lived
 process — that take the kernel's function as an argument, pickled
 once per launch by ``_tasks``. Output goes through ``_finish``: an
 assembled array on the driver, or with ``result_out=<dir>`` one
-``(vid, <column>)`` parquet file per shard written by the workers.
+``(vid, <column>)`` parquet file per shard written by the workers,
+into a directory named by the kernel's result-changing arguments
+(``**identity``, see ``_claim_output``).
 """
 
 from __future__ import annotations
@@ -165,11 +168,12 @@ def _exchange(g, gather, reduce, state_refs, gather_args=(),
 
 
 def _fixed_point(g, algo, state_refs, step, converged, max_iter,
-                 checkpoint, result_out, column):
+                 checkpoint, result_out, column, /, **identity):
     """Run ``state_refs, metrics = step(state_refs, metrics)`` to the
     fixed point (see the module docstring); ``metrics`` starts as the
     resumed checkpoint's or ``{}``. Returns ``_finish``'s result, or
-    ``(state_refs, supersteps, metrics)`` when ``column`` is None."""
+    ``(state_refs, supersteps, metrics)`` when ``column`` is None.
+    ``identity`` names the result with ``max_iter`` (see ``_finish``)."""
     ckpt = CheckpointManager(checkpoint, algo, g.P, n=g.n) \
         if checkpoint else None
     steps, metrics, done = 0, {}, False
@@ -187,7 +191,8 @@ def _fixed_point(g, algo, state_refs, step, converged, max_iter,
         done = converged(metrics)
     if column is None:
         return state_refs, steps, metrics
-    return _finish(g, state_refs, steps, result_out, column)
+    return _finish(g, state_refs, steps, result_out, column,
+                   max_iter=max_iter, **identity)
 
 
 def _settled(metrics):
@@ -347,9 +352,23 @@ def _write_shard(shard, p, P, out_dir, column):
     return len(shard)
 
 
-def _claim_output(out_dir, n, P, column, **extra):
+def _identity_value(v):
+    """One result-identity entry as JSON: numbers, strings and None
+    as they are, numpy scalars as Python numbers, arrays and
+    sequences (seed sets, warm starts) by a sha1 of dtype and bytes."""
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    if isinstance(v, np.generic):
+        return v.item()
+    import hashlib
+    a = np.ascontiguousarray(np.asarray(v))
+    return hashlib.sha1(str(a.dtype).encode() + a.tobytes()).hexdigest()
+
+
+def _claim_output(out_dir, n, P, column, /, **extra):
     """Make ``out_dir`` the directory of one result, identified by
-    ``(n, P, column)`` and ``extra``, before any part is written.
+    ``(n, P, column)`` and ``extra`` (the arguments that change the
+    result, through ``_identity_value``), before any part is written.
 
     Resume is IDENTITY-CHECKED: a ``_RESULT_MANIFEST.json`` records the
     identity; existing part files are skipped by ``_write_part`` only
@@ -360,7 +379,8 @@ def _claim_output(out_dir, n, P, column, **extra):
     import json
     import os
     manifest = os.path.join(out_dir, "_RESULT_MANIFEST.json")
-    expect = {"n": int(n), "P": int(P), "column": column, **extra}
+    expect = {"n": int(n), "P": int(P), "column": column,
+              **{k: _identity_value(v) for k, v in extra.items()}}
     if os.path.isdir(out_dir):
         ok = False
         if os.path.exists(manifest):
@@ -382,32 +402,37 @@ def _claim_output(out_dir, n, P, column, **extra):
         os.replace(tmp, manifest)
 
 
-def write_shard_results(g: DistGraph, shard_refs, out_dir, column):
+def write_shard_results(g: DistGraph, shard_refs, out_dir, column, /,
+                        **identity):
     """Shard-side partitioned parquet output — the o(n)-driver seam.
 
     Each shard writes its own ``part-{p:05d}.parquet`` with columns
     ``(vid, <column>)`` directly from a worker task (the shard ref
     never moves through the driver), mirroring
     ``DistLeiden.run(membership_out=)``, into a directory claimed by
-    ``_claim_output``. Returns total rows written. At 10^10 vertices
-    the driver holds P object refs and P ints — never an O(n)
-    array."""
+    ``_claim_output`` with ``identity``. Returns total rows written.
+    At 10^10 vertices the driver holds P object refs and P ints —
+    never an O(n) array."""
     P = g.P
-    _claim_output(out_dir, g.n, P, column)
+    _claim_output(out_dir, g.n, P, column, **identity)
     rows = ray.get(_map(_write_shard, shard_refs, range(P), [P] * P,
                         [out_dir] * P, [column] * P))
     return int(sum(rows))
 
 
-def _finish(g: DistGraph, shard_refs, iters, result_out, column):
+def _finish(g: DistGraph, shard_refs, iters, result_out, column, /,
+            **identity):
     """Common kernel epilogue: assemble on the driver (the in-memory
     tier / oracle path), or — when ``result_out`` is a directory —
     write per-shard parquet from the workers and hand back only
     ``{"path", "rows", "column"}`` (the at-scale path; driver state
-    stays o(n))."""
+    stays o(n)). ``identity``: the kernel arguments that change the
+    result, so a rerun with other ones into the same directory
+    replaces its parts instead of keeping them."""
     if result_out is None:
         return assemble(g, shard_refs), iters
-    rows = write_shard_results(g, shard_refs, result_out, column)
+    rows = write_shard_results(g, shard_refs, result_out, column,
+                               **identity)
     return {"path": result_out, "rows": rows, "column": column}, iters
 
 
@@ -521,7 +546,10 @@ def pagerank(g: DistGraph, damping=0.85, tol=1e-6, max_iter=200,
     return _fixed_point(
         g, "pagerank", _map(init_shard, sizes, act_refs, p_refs, warm_refs),
         step, lambda m: m.get("l1_delta", np.inf) < tol, max_iter,
-        checkpoint, result_out, "rank")
+        checkpoint, result_out, "rank", damping=damping, tol=tol,
+        weighted=weighted, active=active,
+        message_dtype=str(np.dtype(message_dtype)),
+        personalize=personalize, init_rank=init_rank)
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +588,7 @@ def connected_components(g: DistGraph, max_iter=10_000, checkpoint=None,
     return _fixed_point(g, "cc", label_refs,
                         _changes(g, gather, _combine(np.minimum), "push"),
                         _settled, max_iter, checkpoint, result_out,
-                        "component")
+                        "component", init_labels=init_labels)
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +614,8 @@ def bfs_distances(g: DistGraph, sources, max_iter=10_000,
     return _fixed_point(g, "bfs",
                         _seed_shards(sizes, g.P, sources, 0, BIG, np.int64),
                         _changes(g, gather, _combine(np.minimum), "push"),
-                        _settled, max_iter, checkpoint, result_out, "dist")
+                        _settled, max_iter, checkpoint, result_out, "dist",
+                        sources=sources)
 
 
 # ----------------------------------------------------------------------
@@ -610,7 +639,8 @@ def sssp(g: DistGraph, sources, max_iter=10_000, checkpoint=None,
                         _seed_shards(sizes, g.P, sources, 0.0, np.inf,
                                      np.float64),
                         _changes(g, gather, _combine(np.minimum), "push"),
-                        _settled, max_iter, checkpoint, result_out, "dist")
+                        _settled, max_iter, checkpoint, result_out, "dist",
+                        sources=sources)
 
 
 # ----------------------------------------------------------------------
@@ -671,7 +701,7 @@ def onion_layers(g: DistGraph, max_iter=10_000, result_out=None):
     if result_out is None:
         return (assemble(g, layer_refs), assemble(g, core_refs)), rounds
     return ({col: _finish(g, refs, rounds, os.path.join(result_out, col),
-                          col)[0]
+                          col, max_iter=max_iter)[0]
              for col, refs in (("layer", layer_refs),
                                ("coreness", core_refs))}, rounds)
 
@@ -788,7 +818,8 @@ def kcore(g: DistGraph, k, max_iter=10_000, checkpoint=None,
         alive_refs = None
     alive_refs, iters = _kcore_shards(g, k, alive_refs, max_iter,
                                       checkpoint)
-    return _finish(g, alive_refs, iters, result_out, "in_core")
+    return _finish(g, alive_refs, iters, result_out, "in_core", k=k,
+                   max_iter=max_iter, init_alive=init_alive)
 
 
 def _kcore_shards(g: DistGraph, k, alive_refs=None, max_iter=10_000,
@@ -840,7 +871,8 @@ def coreness(g: DistGraph, levels, max_iter=10_000, checkpoint=None,
         if n_alive == 0:
             break
         core_refs = _map(bump, core_refs, alive_refs, [int(k)] * g.P)
-    return _finish(g, core_refs, total_iters, result_out, "coreness")
+    return _finish(g, core_refs, total_iters, result_out, "coreness",
+                   levels=levels, max_iter=max_iter)
 
 
 # ----------------------------------------------------------------------
@@ -942,11 +974,12 @@ def hits(g: DistGraph, g_rev: DistGraph, iters=20, result_out=None,
         # <dir>/hub and <dir>/authority; the per-shard active masks
         # are never assembled either
         import os
+        ident = {"iters": iters, "degree_normalized": degree_normalized}
         return (_finish(g, hub_refs, None, os.path.join(result_out, "hub"),
-                        "hub")[0],
+                        "hub", **ident)[0],
                 _finish(g, auth_refs, None,
                         os.path.join(result_out, "authority"),
-                        "authority")[0], None)
+                        "authority", **ident)[0], None)
     return (assemble(g, hub_refs), assemble(g, auth_refs),
             assemble(g, act_refs))
 
@@ -983,7 +1016,8 @@ def katz(g: DistGraph, alpha=0.005, beta=1.0, iters=20,
         x_refs = _exchange(g, gather, reduce, x_refs,
                            reduce_args=(act_refs,), num_returns=1)
     if result_out is not None:
-        return _finish(g, x_refs, None, result_out, "katz")[0]
+        return _finish(g, x_refs, None, result_out, "katz", alpha=alpha,
+                       beta=beta, iters=iters, weighted=weighted)[0]
     return assemble(g, x_refs)
 
 
@@ -1002,7 +1036,8 @@ def eigenvector_centrality(g: DistGraph, iters=20, weighted=False,
                              reduce_args=(act_refs,))
         x_refs = _map(_scale, out, [tot] * g.P)
     if result_out is not None:
-        return _finish(g, x_refs, None, result_out, "eigenvector")[0], None
+        return _finish(g, x_refs, None, result_out, "eigenvector",
+                       iters=iters, weighted=weighted)[0], None
     return assemble(g, x_refs), g.active_global()
 
 
@@ -1114,7 +1149,8 @@ def label_propagation(g: DistGraph, max_iter=100, weighted=True,
     return _fixed_point(g, "labelprop", label_refs,
                         _changes(g, _label_gather(weighted, n + 1), reduce,
                                  "pull"),
-                        _settled, max_iter, checkpoint, result_out, "label")
+                        _settled, max_iter, checkpoint, result_out, "label",
+                        weighted=weighted)
 
 
 def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
@@ -1156,7 +1192,9 @@ def label_propagation_seeded(g: DistGraph, seeds, seed_labels,
         label_refs = _exchange(g, gather, reduce, label_refs,
                                reduce_args=(fixed_refs,), num_returns=1)
     if result_out is not None:
-        return _finish(g, label_refs, None, result_out, "label")[0]
+        return _finish(g, label_refs, None, result_out, "label",
+                       seeds=seeds, seed_labels=seed_labels, iters=iters,
+                       weighted=weighted)[0]
     return assemble(g, label_refs)
 
 
@@ -1260,7 +1298,8 @@ def scc(g_fwd: DistGraph, g_bwd: DistGraph, max_rounds=1_000,
         scc_refs, counts = _map(apply_marks, scc_refs, m_refs,
                                 num_returns=2)
         unassigned = sum(ray.get(counts))
-    return _finish(g_fwd, scc_refs, steps, result_out, "scc")
+    return _finish(g_fwd, scc_refs, steps, result_out, "scc",
+                   max_rounds=max_rounds)
 
 
 # ----------------------------------------------------------------------
@@ -1679,7 +1718,8 @@ def betweenness(g: DistGraph, sources, result_out=None):
                               sig_refs, upd_refs, [d] * P)
         acc_refs = _map(acc_update, acc_refs, delta_refs, dist_refs)
     if result_out is not None:
-        return _finish(g, acc_refs, None, result_out, "betweenness")[0]
+        return _finish(g, acc_refs, None, result_out, "betweenness",
+                       sources=sources)[0]
     return assemble(g, acc_refs)
 
 
@@ -1780,7 +1820,7 @@ def luby_mis(g: DistGraph, max_rounds=64, result_out=None):
         return out
 
     return _finish(g, _map(norm_state, state_refs), rounds, result_out,
-                   "state")
+                   "state", max_rounds=max_rounds)
 
 
 def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
@@ -1846,7 +1886,8 @@ def mis_coloring(g: DistGraph, max_colors=256, result_out=None):
                                       remaining_refs, num_returns=2)
         uncolored = sum(ray.get(counts))
         color += 1
-    return _finish(g, color_refs, color, result_out, "color")
+    return _finish(g, color_refs, color, result_out, "color",
+                   max_colors=max_colors)
 
 
 # ----------------------------------------------------------------------
@@ -1948,7 +1989,8 @@ def maximal_matching(g: DistGraph, max_rounds=256, result_out=None):
         rounds = r + 1
         if sum(ray.get(matched)) == 0:
             break
-    return _finish(g, partner_refs, rounds, result_out, "partner")
+    return _finish(g, partner_refs, rounds, result_out, "partner",
+                   max_rounds=max_rounds)
 
 
 # ----------------------------------------------------------------------
@@ -2040,7 +2082,11 @@ def pagerank_batch(g: DistGraph, seed_sets, damping=0.85, tol=0.0,
             break
 
     if result_out is not None:
-        _claim_output(result_out, n, P, "rank", seeds=S)
+        _claim_output(result_out, n, P, "rank", seeds=S,
+                      seed_sets=[_identity_value(np.asarray(s_, np.int64))
+                                 for s_ in seed_sets],
+                      damping=damping, tol=tol, max_iter=max_iter,
+                      weighted=weighted, active=active)
         rows = int(sum(ray.get(_map(write_long, rank_refs, range(P)))))
         return {"path": result_out, "rows": rows,
                 "column": "rank"}, it + 1
@@ -2083,7 +2129,8 @@ def hitting_time(g: DistGraph, targets, iters=30, weighted=False,
         h_refs = _exchange(g, gather, reduce, h_refs,
                            reduce_args=(norm_refs, tgt_refs),
                            num_returns=1)
-    return _finish(g, h_refs, iters, result_out, "hitting_time")
+    return _finish(g, h_refs, iters, result_out, "hitting_time",
+                   targets=targets, iters=iters, weighted=weighted)
 
 
 # ----------------------------------------------------------------------
@@ -2182,7 +2229,8 @@ def hyperanf(g: DistGraph, rounds=8, result_out=None,
     if result_out is None:
         return nf_q, t
     ball_refs = _map(lambda r: _hll_est_q(r) / 1e6, reg_refs)
-    return _finish(g, ball_refs, None, result_out, "ball_est")[0], nf_q, t
+    return (_finish(g, ball_refs, None, result_out, "ball_est",
+                    rounds=rounds)[0], nf_q, t)
 
 
 def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
@@ -2245,4 +2293,4 @@ def hyperball_harmonic(g: DistGraph, rounds=8, result_out=None,
         if changed == 0:
             break
     col = "harmonic_est" if harmonic else "sumdist_est"
-    return _finish(g, acc_refs, t, result_out, col)
+    return _finish(g, acc_refs, t, result_out, col, rounds=rounds)

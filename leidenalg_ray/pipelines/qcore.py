@@ -1707,11 +1707,18 @@ def q_ego_density_co(sf_dir):
     partitioned counter; degrees from the deduped edge arrays (the
     same gate-scale broadcast as ``avg_neighbor_degree_co`` — at
     scale both terms are per-vertex kernel outputs joined on vid)."""
-    _, pv = triangle_count(tg.co_edge_rows(sf_dir), num_partitions=8,
-                           per_vertex=True)
-    tri_pd = pv.to_pandas()
+    return _ego_density(tg.co_edge_rows(sf_dir))
+
+
+def _ego_density(edges):
+    """``q_ego_density_co`` over a ``(src, dst)`` edge Dataset."""
+    import ray
+    _, pv = triangle_count(edges, num_partitions=8, per_vertex=True)
+    # through the Arrow blocks: to_pandas() of the zero-row result of
+    # a triangle-free graph has no columns
+    tri_t = pa.concat_tables(ray.get(pv.to_arrow_refs()))
     t = pa.concat_tables(
-        [bt for bt in tg.co_edge_rows(sf_dir).iter_batches(
+        [bt for bt in edges.iter_batches(
             batch_size=None, batch_format="pyarrow")])
     s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1722,8 +1729,7 @@ def q_ego_density_co(sf_dir):
     a, b = keys // n, keys % n
     deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     tri = np.zeros(n, dtype=np.int64)
-    tri[tri_pd["v"].to_numpy(np.int64)] = \
-        tri_pd[tri_pd.columns[1]].to_numpy(np.int64)
+    tri[tri_t["v"].to_numpy()] = tri_t["count()"].to_numpy()
     vids = np.flatnonzero(deg > 0).astype(np.int64)
     dv, tv = deg[vids].astype(np.int64), tri[vids]
     ego_edges = dv + tv

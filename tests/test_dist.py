@@ -266,7 +266,6 @@ def test_leiden_shard_state_is_sublinear():
     vids/labels — O((n + E)/P) resident, not O(n). On a perfect
     matching (degree 1) with P=16 every shard must reference ~2n/P
     vids even though n is 8x larger."""
-    import ray
     n = 2000
     src = np.arange(0, n, 2, dtype=np.int64)
     dst = np.arange(1, n, 2, dtype=np.int64)
@@ -276,7 +275,7 @@ def test_leiden_shard_state_is_sublinear():
     # every matched pair is one community at gamma < 1
     assert np.array_equal(mem[src], mem[dst])
     assert len(np.unique(mem)) == n // 2
-    fps = ray.get([a.state_footprint.remote() for a in dl.actors])
+    fps = dl._fan("state_footprint")
     for fp in fps:
         # structural bound: own vids + block rows
         assert fp["ref_vids"] <= n // 16 + fp["block_rows"] + 1
@@ -1253,13 +1252,13 @@ def test_result_out_resume_skips_finished(tmp_path, random_graph):
     src, dst, n = random_graph
     g = DistGraph.from_edges(src, dst, n=n, P=4, directed=True)
     d = tmp_path / "pr"
-    os.makedirs(d)
-    # matching-identity resume: sentinel survives
-    json.dump({"n": int(n), "P": 4, "column": "rank"},
-              open(d / "_RESULT_MANIFEST.json", "w"))
+    # matching-identity resume (the manifest of a run with the same
+    # arguments): sentinel survives
+    ss.pagerank(g, tol=1e-10, result_out=str(d))
     sentinel = pa.table({"vid": pa.array([-1], pa.int64()),
                          "rank": pa.array([99.0])})
     pq.write_table(sentinel, str(d / "part-00002.parquet"))
+    os.remove(d / "part-00001.parquet")
     (d / "part-00001.parquet.tmp-123").write_bytes(b"torn")
     res, _ = ss.pagerank(g, tol=1e-10, result_out=str(d))
     assert res["rows"] == n        # counted, not re-written
@@ -1287,6 +1286,27 @@ def test_result_out_resume_skips_finished(tmp_path, random_graph):
     res, _ = ss.pagerank(g, tol=1e-10, result_out=str(d3))
     t = pq.read_table(str(d3)).sort_by("vid")
     assert np.array_equal(t["rank"].to_numpy(), rank)
+
+
+def test_result_out_rerun_with_other_arguments(tmp_path, random_graph):
+    """The result directory is named by the arguments that change the
+    result: a rerun with another damping into the same ``result_out``
+    replaces the parts instead of keeping the first run's."""
+    import os
+    import pyarrow.parquet as pq
+    src, dst, n = random_graph
+    g = DistGraph.from_edges(src, dst, n=n, P=4, directed=True)
+    d = str(tmp_path / "pr")
+    ss.pagerank(g, damping=0.85, result_out=d)
+    ss.pagerank(g, damping=0.5, result_out=d)
+    want, _ = ss.pagerank(g, damping=0.5)
+    t = pq.read_table(d).sort_by("vid")
+    assert np.array_equal(t["rank"].to_numpy(), want)
+    # the same arguments again keep the finished parts
+    before = os.path.getmtime(os.path.join(d, "part-00000.parquet"))
+    ss.pagerank(g, damping=0.5, result_out=d)
+    assert os.path.getmtime(os.path.join(d, "part-00000.parquet")) \
+        == before
 
 
 def test_coreness_kernel_matches_level_loop(tmp_path, random_graph):
@@ -1590,7 +1610,6 @@ def test_all_comms_tracks_live_labels_default_stays_compressed():
     labels. Perfect matching on n vertices, P=8: each shard
     references ~2n/P vids, but the live label count at singleton
     init is n."""
-    import ray
     n = 800
     src = np.arange(0, n, 2, dtype=np.int64)
     dst = np.arange(1, n, 2, dtype=np.int64)
@@ -1600,11 +1619,10 @@ def test_all_comms_tracks_live_labels_default_stays_compressed():
                         resolution_parameter=0.1, P=8, seed=3,
                         consider_comms=mode)
         # stage state exactly as a run would, then inspect
-        ray.get([a.init_mem.remote(None) for a in dl.actors])
+        dl._fan("init_mem", None)
         stats = dl._stats_of()
         dl._push_stats(stats)
-        return ray.get([a.state_footprint.remote()
-                        for a in dl.actors])
+        return dl._fan("state_footprint")
 
     for fp in footprints("all_neighbors"):
         assert fp["stat_labels"] < n // 2      # compressed

@@ -197,6 +197,20 @@ def test_edge_cases(case):
     assert np.array_equal(_per_vertex_array(ds, n), want["per_vertex"])
 
 
+def test_ego_density_of_a_star():
+    """A triangle-free graph gives a zero-row per-vertex count, which
+    the ego-density query reads through its Arrow blocks."""
+    from leidenalg_ray.pipelines.qcore import _ego_density
+    src, dst, n = EDGE_CASES["star"]
+    out = _ego_density(ray.data.from_arrow(pa.table({"src": src,
+                                                     "dst": dst})))
+    assert out["vid"].to_pylist() == list(range(n))
+    assert out["ego_n"].to_pylist() == [8] + [2] * 7
+    assert out["ego_edges"].to_pylist() == [7] + [1] * 7
+    # the hub's 7 spokes of C(8, 2) = 28 pairs; a leaf's one of one
+    assert out["density"].to_pylist() == [0.25] + [1.0] * 7
+
+
 def _check_chunks(indptr, rows, chunk):
     """Every pair of every row appears exactly once, chunks never
     split a row, and a chunk exceeds ``chunk`` pairs only when it is
