@@ -291,14 +291,13 @@ def run_bench():
         return result
 
     # the at-scale build path end-to-end: distributed bucket-rank id
-    # assignment + hash-join edge resolution (no driver url sort, no
+    # assignment + exchange edge resolution (no driver url sort, no
     # broadcast mapping) feeding Dataset-built CSR blocks + PageRank —
     # the pipeline shape a >node-memory corpus must use
     from leidenalg_ray.stages.graph_build import pages_to_graph
 
     t0 = time.time()
-    pedges_ds, pmapping, pn = pages_to_graph(pages_ds, B=32,
-                                             dedup=False)
+    pedges_ds, pmapping, pn = pages_to_graph(pages_ds, B=32)
     pgd = DistGraph.from_dataset(pedges_ds, n=pn, P=P_pages,
                                  directed=True, dedup=True)
     prank_d, _ = ss.pagerank(pgd, damping=0.85, tol=1e-6)

@@ -78,6 +78,7 @@ from ..partition import (
     SurpriseVertexPartition,
 )
 from ..optimiser import Optimiser
+from ..util import session_cpus
 from .superstep import _claim_output, _write_shard
 
 PARTITION_TYPES = {
@@ -1506,8 +1507,8 @@ class DistLeiden:
         # one host actor per logical CPU, host h holding the shards
         # p ≡ h (mod H): P worker processes would start only as many at
         # a time as there are CPUs
-        H = len(_actors) if _actors is not None else max(1, min(
-            self.P, int(ray.cluster_resources().get("CPU", 1))))
+        H = len(_actors) if _actors is not None else min(
+            self.P, session_cpus())
         self._hosted = [list(range(h, self.P, H)) for h in range(H)]
 
         if _parquet_dir is not None:

@@ -258,113 +258,120 @@ def resolution_profile_dataset(edges_ds, n, quality="cpm",
     ONCE; each probe's shard actors load from that spill, so the >node-
     memory profile never re-reads or re-shuffles the input. Returns
     ``_ProfilePoint``s sorted by resolution (``.membership``,
-    ``.bisect_value()``, ``.n_communities()``, ``.quality(res)``)."""
+    ``.bisect_value()``, ``.n_communities()``, ``.quality(res)``).
+    A spill directory this call creates is removed once the profile
+    returns; a caller's ``spill_dir`` is left in place."""
+    import shutil
     import tempfile
     from math import log, sqrt
 
     from .dist.leiden import DistLeiden
 
     spill = spill_dir or tempfile.mkdtemp(prefix="lray_profile_")
-    # writes the spill; this instance also serves the first probe
-    first = DistLeiden.from_dataset(
-        edges_ds, n=n, quality=quality,
-        resolution_parameter=float(resolution_range[0]), P=P,
-        seed=seed, spill_dir=spill, **kwargs)
-    # a pristine shard set that always holds the LEVEL-0 blocks: used
-    # only to recompute final-membership stats (probe actors mutate
-    # their blocks across levels)
-    stats_dl = DistLeiden(n=n, quality=quality,
-                          resolution_parameter=1.0, P=P, seed=seed,
-                          _parquet_dir=spill, **kwargs)
+    try:
+        # writes the spill; this instance also serves the first probe
+        first = DistLeiden.from_dataset(
+            edges_ds, n=n, quality=quality,
+            resolution_parameter=float(resolution_range[0]), P=P,
+            seed=seed, spill_dir=spill, **kwargs)
+        # a pristine shard set that always holds the LEVEL-0 blocks: used
+        # only to recompute final-membership stats (probe actors mutate
+        # their blocks across levels)
+        stats_dl = DistLeiden(n=n, quality=quality,
+                              resolution_parameter=1.0, P=P, seed=seed,
+                              _parquet_dir=spill, **kwargs)
 
-    probes = {"next": first}
+        probes = {"next": first}
 
-    def find_partition(res):
-        dl = probes.pop("next", None)
-        if dl is None or dl.gamma != float(res):
-            # recycle the previous probe's shard pool (level-0 blocks
-            # reload from the spill) — no P actor respawns per gamma
-            prev = probes.pop("prev", None)
-            dl = DistLeiden(n=n, quality=quality,
-                            resolution_parameter=float(res), P=P,
-                            seed=seed, _parquet_dir=spill,
-                            _actors=(prev.actors if prev is not None
-                                     else None), **kwargs)
-        probes["prev"] = dl
-        mem, q, info = dl.run(n_iterations=n_iterations)
-        stats = stats_dl._stats_of(mem)
-        return _ProfilePoint(res, mem, stats, stats_dl)
+        def find_partition(res):
+            dl = probes.pop("next", None)
+            if dl is None or dl.gamma != float(res):
+                # recycle the previous probe's shard pool (level-0 blocks
+                # reload from the spill) — no P actor respawns per gamma
+                prev = probes.pop("prev", None)
+                dl = DistLeiden(n=n, quality=quality,
+                                resolution_parameter=float(res), P=P,
+                                seed=seed, _parquet_dir=spill,
+                                _actors=(prev.actors if prev is not None
+                                         else None), **kwargs)
+            probes["prev"] = dl
+            mem, q, info = dl.run(n_iterations=n_iterations)
+            stats = stats_dl._stats_of(mem)
+            return _ProfilePoint(res, mem, stats, stats_dl)
 
-    # --- the reference bisection control flow (Optimiser.py:661-861),
-    # shared verbatim with the in-memory tier's resolution_profile ---
-    from collections import namedtuple
-    BisectPartition = namedtuple("BisectPartition",
-                                 ["partition", "bisect_value"])
+        # --- the reference bisection control flow (Optimiser.py:661-861),
+        # shared verbatim with the in-memory tier's resolution_profile ---
+        from collections import namedtuple
+        BisectPartition = namedtuple("BisectPartition",
+                                     ["partition", "bisect_value"])
 
-    def ensure_monotonicity(bisect_values, new_res):
-        # reference Optimiser.py:762-773; the second repair loop is a
-        # no-op in the reference too (see optimiser.py note) — kept
-        # identical for behavioural parity.
-        for res, bp in list(bisect_values.items()):
-            if (bisect_values[new_res].partition.quality(res)
-                    > bp.partition.quality(res)):
-                bisect_values[res] = bisect_values[new_res]
-        current_quality = \
-            bisect_values[new_res].partition.quality(new_res)
-        best_res = new_res
-        for res, bp in bisect_values.items():
-            if bp.partition.quality(new_res) > current_quality:
-                best_res = new_res
-        bisect_values[new_res] = bisect_values[best_res]
+        def ensure_monotonicity(bisect_values, new_res):
+            # reference Optimiser.py:762-773; the second repair loop is a
+            # no-op in the reference too (see optimiser.py note) — kept
+            # identical for behavioural parity.
+            for res, bp in list(bisect_values.items()):
+                if (bisect_values[new_res].partition.quality(res)
+                        > bp.partition.quality(res)):
+                    bisect_values[res] = bisect_values[new_res]
+            current_quality = \
+                bisect_values[new_res].partition.quality(new_res)
+            best_res = new_res
+            for res, bp in bisect_values.items():
+                if bp.partition.quality(new_res) > current_quality:
+                    best_res = new_res
+            bisect_values[new_res] = bisect_values[best_res]
 
-    def clean_stepwise(bisect_values):
-        # reference Optimiser.py:732-757
-        for res, bp in list(bisect_values.items()):
-            best_bp = bp
-            best_quality = bp.partition.quality(res)
-            for res2, bp2 in bisect_values.items():
-                if bp2.partition.quality(res) > best_quality:
-                    best_bp = bp2
-                    best_quality = bp2.partition.quality(res)
-            if best_bp is not bp:
-                bisect_values[res] = best_bp
-        blist = sorted(((r, bp.bisect_value)
-                        for r, bp in bisect_values.items()))
-        for (r1, v1), (r2, v2) in zip(blist, blist[1:]):
-            if v1 == v2 and r2 in bisect_values:
-                del bisect_values[r2]
-        for res, bp in bisect_values.items():
-            bp.partition.resolution_parameter = res
+        def clean_stepwise(bisect_values):
+            # reference Optimiser.py:732-757
+            for res, bp in list(bisect_values.items()):
+                best_bp = bp
+                best_quality = bp.partition.quality(res)
+                for res2, bp2 in bisect_values.items():
+                    if bp2.partition.quality(res) > best_quality:
+                        best_bp = bp2
+                        best_quality = bp2.partition.quality(res)
+                if best_bp is not bp:
+                    bisect_values[res] = best_bp
+            blist = sorted(((r, bp.bisect_value)
+                            for r, bp in bisect_values.items()))
+            for (r1, v1), (r2, v2) in zip(blist, blist[1:]):
+                if v1 == v2 and r2 in bisect_values:
+                    del bisect_values[r2]
+            for res, bp in bisect_values.items():
+                bp.partition.resolution_parameter = res
 
-    bisect_values = {}
-    stack = [tuple(resolution_range)]
-    for res in resolution_range:
-        part = find_partition(res)
-        bisect_values[res] = BisectPartition(part, part.bisect_value())
-    while stack:
-        lo, hi = stack.pop()
-        diff_bisect = abs(bisect_values[lo].bisect_value
-                          - bisect_values[hi].bisect_value)
-        if lo > 0 and hi > 0 and not linear_bisection:
-            diff_res = log(hi / lo)
-        else:
-            diff_res = abs(hi - lo)
-        if diff_bisect > min_diff_bisect_value and \
-                diff_res > min_diff_resolution:
+        bisect_values = {}
+        stack = [tuple(resolution_range)]
+        for res in resolution_range:
+            part = find_partition(res)
+            bisect_values[res] = BisectPartition(part, part.bisect_value())
+        while stack:
+            lo, hi = stack.pop()
+            diff_bisect = abs(bisect_values[lo].bisect_value
+                              - bisect_values[hi].bisect_value)
             if lo > 0 and hi > 0 and not linear_bisection:
-                new_res = sqrt(hi * lo)
+                diff_res = log(hi / lo)
             else:
-                new_res = (lo + hi) / 2.0
-            stack.append((lo, new_res))
-            stack.append((new_res, hi))
-            if new_res not in bisect_values:
-                part = find_partition(new_res)
-                bisect_values[new_res] = BisectPartition(
-                    part, part.bisect_value())
-                ensure_monotonicity(bisect_values, new_res)
-    clean_stepwise(bisect_values)
-    return sorted((bp.partition for bp in bisect_values.values()),
-                  key=lambda p: p.resolution_parameter)
+                diff_res = abs(hi - lo)
+            if diff_bisect > min_diff_bisect_value and \
+                    diff_res > min_diff_resolution:
+                if lo > 0 and hi > 0 and not linear_bisection:
+                    new_res = sqrt(hi * lo)
+                else:
+                    new_res = (lo + hi) / 2.0
+                stack.append((lo, new_res))
+                stack.append((new_res, hi))
+                if new_res not in bisect_values:
+                    part = find_partition(new_res)
+                    bisect_values[new_res] = BisectPartition(
+                        part, part.bisect_value())
+                    ensure_monotonicity(bisect_values, new_res)
+        clean_stepwise(bisect_values)
+        return sorted((bp.partition for bp in bisect_values.values()),
+                      key=lambda p: p.resolution_parameter)
+    finally:
+        if spill_dir is None:
+            shutil.rmtree(spill, ignore_errors=True)
 
 
 def slices_to_layers(slice_graphs, slice_ids=None, coupling_edges=None,

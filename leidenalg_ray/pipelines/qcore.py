@@ -25,7 +25,7 @@ from ..dist.triangles import triangle_count
 from ..stages import text as tx
 from ..stages import dedup as dd
 from ..stages import ann as annm
-from ..util import round6, round_half_away
+from ..util import join_partitions, round6, round_half_away
 
 PAGERANK_ITERS = 30
 DAMPING = 0.85
@@ -2208,7 +2208,8 @@ def q_revenue_by_nation(sf_dir):
             ["o_orderkey", "l_suppkey", "l_extendedprice",
              "l_discount"]),
             batch_format="pyarrow", zero_copy_batch=True)
-    joined = li.join(orders, "inner", 16, on=("o_orderkey",))
+    joined = li.join(orders, "inner", join_partitions(16),
+                     on=("o_orderkey",))
 
     def partial(t: pa.Table) -> pa.Table:
         cn = ray.get(cref)[t["o_custkey"].to_numpy(

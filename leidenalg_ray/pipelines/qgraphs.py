@@ -1141,6 +1141,7 @@ def _co_edges_year(sf_dir, yr, num_partitions=16):
     calendar year (the crawl-slice analogue): one l_orderkey
     hash-join attaches the year filter, then the same self-join +
     per-batch pre-aggregation as ``co_edge_rows``."""
+    num_partitions = join_partitions(num_partitions)
     li = tg.read_lineitem(sf_dir, ["l_orderkey", "l_partkey"])
     oy = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderkey", "o_orderdate"])
@@ -1267,7 +1268,8 @@ def q_reciprocity_co(sf_dir):
         lambda t: t.rename_columns(
             ["l_orderkey", "partkey_r", "linenumber_r"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = li.join(right, "inner", 16, on=("l_orderkey",))
+    joined = li.join(right, "inner", join_partitions(16),
+                     on=("l_orderkey",))
 
     def pre(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.less(t["l_linenumber"], t["linenumber_r"]),
@@ -3165,7 +3167,8 @@ def q_bipartite_projection_ps(sf_dir):
     right = distinct.map_batches(
         lambda t: t.rename_columns(["partkey_r", "l_suppkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = distinct.join(right, "inner", 8, on=("l_suppkey",))
+    joined = distinct.join(right, "inner", join_partitions(8),
+                           on=("l_suppkey",))
 
     def pairs(t: pa.Table) -> pa.Table:
         a, b = t["l_partkey"], t["partkey_r"]
@@ -3432,6 +3435,7 @@ def _co_edges_decayed(sf_dir, num_partitions=16):
     l_orderkey hash-join attaches the order year (both sides stream;
     no driver materialisation), then the same self-join + per-batch
     pre-aggregation as ``co_edge_rows``."""
+    num_partitions = join_partitions(num_partitions)
     li = tg.read_lineitem(sf_dir, ["l_orderkey", "l_partkey"])
     oy = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderkey", "o_orderdate"])
@@ -4182,7 +4186,8 @@ def q_dyad_census_co(sf_dir):
         lambda t: t.rename_columns(
             ["l_orderkey", "partkey_r", "linenumber_r"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = li.join(right, "inner", 16, on=("l_orderkey",))
+    joined = li.join(right, "inner", join_partitions(16),
+                     on=("l_orderkey",))
 
     def pre(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.less(t["l_linenumber"], t["linenumber_r"]),
@@ -4343,7 +4348,8 @@ def q_triad_census_co(sf_dir):
         lambda t: t.rename_columns(
             ["l_orderkey", "partkey_r", "linenumber_r"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = li.join(right, "inner", 16, on=("l_orderkey",))
+    joined = li.join(right, "inner", join_partitions(16),
+                     on=("l_orderkey",))
 
     def pre(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.less(t["l_linenumber"], t["linenumber_r"]),

@@ -881,7 +881,7 @@ def q_doc_segment_dedup(sf_dir):
     dup = cnts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["cnt"], 2)),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = segs.join(dup, "inner", 8, on=("h",))
+    joined = segs.join(dup, "inner", join_partitions(8), on=("h",))
     ndup = joined.groupby("doc_id").aggregate(
         Count(alias_name="n_dup")).to_pandas()
     nseg = segs.groupby("doc_id").aggregate(
@@ -1258,7 +1258,8 @@ def q_doc_novelty(sf_dir):
                              zero_copy_batch=True)
     firsts = grams.groupby("h").aggregate(
         _Min("doc_id", alias_name="first_doc"))
-    joined = grams.join(firsts, "inner", 8, on=("h",))
+    joined = grams.join(firsts, "inner", join_partitions(8),
+                        on=("h",))
 
     def flag(t: pa.Table) -> pa.Table:
         nov = pc.equal(t["doc_id"], t["first_doc"])
@@ -1372,7 +1373,8 @@ def q_doc_strip_boilerplate(sf_dir):
     # map_batches passes schema-less empties through WITHOUT calling
     # fn — repartition coalesces blocks so they vanish before the join
     nd = nd.repartition(8)
-    joined = segs.join(nd, "inner", 8, on=("source", "seg"))
+    joined = segs.join(nd, "inner", join_partitions(8),
+                       on=("source", "seg"))
     # the join itself emits schema-less empties too; repartition
     # coalesces them away before the map_groups shuffle
     joined = joined.repartition(8)

@@ -20,6 +20,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..util import join_partitions
+
 
 def read_lineitem(sf_dir, columns):
     return rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=columns)
@@ -54,6 +56,7 @@ def co_edges(sf_dir, num_partitions=16):
     """Dataset (a, b, weight): part co-occurrence within orders, a<b.
     The pair enumeration is a self hash-join of lineitem on
     l_orderkey; the dedup is a groupby with per-batch combiners."""
+    num_partitions = join_partitions(num_partitions)
     li = read_lineitem(sf_dir, ["l_orderkey", "l_partkey"])
     right = li.map_batches(
         lambda t: t.rename_columns(["l_orderkey", "partkey_r"]),
@@ -94,6 +97,7 @@ def co_edge_rows(sf_dir, num_partitions=16):
     expensive avoidable stage in the bench. Memoised (materialized)
     per sf_dir: every graph query on the co graph shares one
     self-join."""
+    num_partitions = join_partitions(num_partitions)
     key = (sf_dir, num_partitions)
     if key in _CO_ROWS_CACHE:
         return _CO_ROWS_CACHE[key]
@@ -140,7 +144,8 @@ def nation_clique_edges(sf_dir):
     right = su.map_batches(
         lambda t: t.rename_columns(["suppkey_r", "s_nationkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = su.join(right, "inner", 4, on=("s_nationkey",))
+    joined = su.join(right, "inner", join_partitions(4),
+                     on=("s_nationkey",))
 
     def pairs(t: pa.Table) -> pa.Table:
         a, b = t["s_suppkey"], t["suppkey_r"]
@@ -178,7 +183,7 @@ def nation_bipartite_edges(sf_dir, weight=-0.1):
                           zero_copy_batch=True)
     right = na.map_batches(keyed("b"), batch_format="pyarrow",
                            zero_copy_batch=True)
-    joined = left.join(right, "inner", 4, on=("one",))
+    joined = left.join(right, "inner", join_partitions(4), on=("one",))
 
     def pairs(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -206,7 +211,8 @@ def nation_bipartite_clique_edges(sf_dir):
     right = su.map_batches(
         lambda t: t.rename_columns(["suppkey_r", "s_nationkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = su.join(right, "inner", 4, on=("s_nationkey",))
+    joined = su.join(right, "inner", join_partitions(4),
+                     on=("s_nationkey",))
 
     def pairs(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -322,6 +328,7 @@ def co_edge_arrays(sf_dir, num_partitions=16):
     driver's correctness gate all share one build."""
     if sf_dir in _CO_CACHE:
         return _CO_CACHE[sf_dir]
+    num_partitions = join_partitions(num_partitions)
     li = read_lineitem(sf_dir, ["l_orderkey", "l_partkey"])
     right = li.map_batches(
         lambda t: t.rename_columns(["l_orderkey", "partkey_r"]),

@@ -29,7 +29,7 @@ import zlib
 
 import numpy as np
 
-from leidenalg_ray.util import round6
+from leidenalg_ray.util import join_partitions, round6
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -255,8 +255,9 @@ def jaccard_verify(pairs_ds, docs_ds, threshold=0.8, shingle_k=3,
     right = sigs.map_batches(
         lambda t: t.rename_columns(["b", "sh_b"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    j1 = pairs_ds.join(left, "inner", num_partitions, on=("a",))
-    j2 = j1.join(right, "inner", num_partitions, on=("b",))
+    K = join_partitions(num_partitions)
+    j1 = pairs_ds.join(left, "inner", K, on=("a",))
+    j2 = j1.join(right, "inner", K, on=("b",))
 
     def verify(t: pa.Table) -> pa.Table:
         from leidenalg_ray.util import round_half_away
@@ -681,8 +682,9 @@ def containment_all_pairs(docs_ds, threshold=0.5, shingle_k=3,
     right = sigs.map_batches(
         lambda t: t.rename_columns(["b", "sh_b"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    j1 = pairs.join(left, "inner", num_partitions, on=("a",))
-    j2 = j1.join(right, "inner", num_partitions, on=("b",))
+    K = join_partitions(num_partitions)
+    j1 = pairs.join(left, "inner", K, on=("a",))
+    j2 = j1.join(right, "inner", K, on=("b",))
 
     def verify(t: pa.Table) -> pa.Table:
         from leidenalg_ray.util import round_half_away
@@ -745,7 +747,8 @@ def ppjoin_pairs(docs_ds, threshold=0.4, shingle_k=2,
     exp = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         rows, batch_format="pyarrow", zero_copy_batch=True)
     dfq = exp.groupby("h").aggregate(Count(alias_name="df"))         .repartition(num_partitions)   # drop schema-less empties
-    joined = exp.join(dfq, "inner", num_partitions, on=("h",))         .repartition(num_partitions)
+    joined = exp.join(dfq, "inner", join_partitions(num_partitions),
+                      on=("h",)).repartition(num_partitions)
 
     def prefix(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False)

@@ -1,17 +1,32 @@
 """Graph build: url canonicalisation, deterministic vid assignment,
-edge dedup (SURVEY.md §7.1.2).
+exact edge dedup (SURVEY.md §7.1.2), on one bucketed task exchange.
 
 Id assignment is the classic two-pass deterministic scheme that avoids
-a global sort: urls hash-partition into B buckets (a Ray Data groupby
-shuffle); pass 1 counts per bucket (tiny driver-side array -> offsets);
-pass 2 sorts *within* each bucket and assigns
+a global sort: urls hash into B buckets (``_bucket_of``), pass 1
+counts per bucket (B numbers per partition -> offsets on the driver),
+pass 2 ranks *within* each bucket and assigns
 ``vid = bucket_offset + local_rank``. Deterministic in (urls, B),
-contiguous, and every stage streams — no driver-side materialisation of
-the url set.
+contiguous, and the driver never holds the url set.
 
-Edge dedup: ``groupby(src, dst).sum(weight)`` with per-batch
-pre-aggregation (the combiner) so the shuffle moves one row per
-distinct pair per batch, not one per link occurrence.
+The exchange is the P x P task pattern of ``dist/`` (Pregelix's
+partitioned dataflow), K partitions wide:
+
+1. one task per url block cuts it by ``_bucket_of(url, B) % K``;
+2. one rank task per partition sorts its urls by (bucket, url), drops
+   duplicates and counts each bucket;
+3. the driver sums the K count vectors into the B offsets and one
+   task per partition turns ranks into vids;
+4. link blocks are cut by the hash of ``src_url``, and partition k
+   resolves ``src`` with ``pc.index_in`` against its share of the
+   mapping (cut the same way), then cuts its rows by ``dst_url``;
+5. partition k resolves ``dst`` and sums the link count per
+   (src, dst[, carry...]) -- the per-partition final combine of
+   external hash aggregation. Every copy of a pair shares its
+   ``dst_url``, so the dedup is exact.
+
+These are tasks launched through ``superstep._tasks``, not Ray Data
+shuffles: no join, groupby or repartition, so a width above the CPU
+count only queues tasks.
 """
 
 from __future__ import annotations
@@ -21,7 +36,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
+
+from ..dist.superstep import _tasks
+from ..dist.triangles import _split_by
 
 
 def _bucket_of(urls: pa.ChunkedArray, B: int) -> np.ndarray:
@@ -67,99 +85,126 @@ def canonicalize(url: str) -> str:
     return u
 
 
-# target rows per id-assign bucket: caps the memory of the per-bucket
-# rank sort regardless of corpus size (B grows with the data)
+# target urls per id bucket and per exchange partition: with B=None
+# (assign_ids) B grows with the url count, and there and in
+# links_to_edges so does the width K, so one task's share of the urls
+# stays near this size whatever the corpus size
 _IDS_BUCKET_ROWS = 1 << 17
 
 
-def assign_ids(urls_ds, B=None):
-    """Dataset with a ``url`` column (unique) -> Dataset
-    ``(url, vid)`` with deterministic contiguous vids.
+def _width(num_partitions, n_urls):
+    """Exchange width: ``num_partitions``, raised to
+    ceil(n_urls / _IDS_BUCKET_ROWS) for a corpus too large for it."""
+    return max(1, int(num_partitions), -(-int(n_urls) // _IDS_BUCKET_ROWS))
 
-    ``B=None`` scales the bucket count with the corpus
-    (ceil(n_urls / 128Ki), floor 32) so one bucket's rank sort never
-    outgrows a task's heap; an explicit B is honoured (tests pin it).
+
+def _cut(K, B, col, t):
+    """Block ``t`` cut into K parts by ``_bucket_of(t[col], B) % K``.
+    A zero-column empty block (Ray Data emits them for dataless
+    shuffle partitions) cuts into K empty parts."""
+    if col not in t.column_names:
+        return [t] * K
+    part = _bucket_of(t[col], B) % K
+    return [t.take(idx)
+            for (idx,) in _split_by(part, K, np.arange(t.num_rows))]
+
+
+def _concat(parts, **types):
+    """The rows of ``parts`` as one table, or an empty table of
+    ``types`` (column -> Arrow type) when no part has a row."""
+    parts = [t for t in parts if t.num_rows]
+    if not parts:
+        return pa.table({c: pa.array([], ty) for c, ty in types.items()})
+    return pa.concat_tables(parts, promote_options="permissive")
+
+
+def _lookup(urls, mapping):
+    """The vid of each url in the ``(url, vid)`` table, null where the
+    url is not in it."""
+    value_set = mapping["url"].combine_chunks().cast(urls.type)
+    return mapping["vid"].take(pc.index_in(urls, value_set=value_set))
+
+
+def _rank(B, *parts):
+    """One id partition's distinct non-null urls sorted by (bucket,
+    url), and how many urls each of the B buckets holds."""
+    urls = pc.drop_null(pc.unique(_concat(parts, url=pa.string())["url"]))
+    t = pa.table({"bucket": _bucket_of(urls, B), "url": urls})
+    t = t.take(pc.sort_indices(t, sort_keys=[("bucket", "ascending"),
+                                             ("url", "ascending")]))
+    return np.bincount(t["bucket"].to_numpy(), minlength=B), t
+
+
+def _vids(offsets, ranked):
+    """``(url, vid)`` of one id partition: the offset of the url's
+    bucket plus its rank inside the bucket (rows sort by bucket)."""
+    b = ranked["bucket"].to_numpy()
+    rank = np.arange(len(b)) - np.searchsorted(b, b)
+    return pa.table({"url": ranked["url"],
+                     "vid": pa.array(offsets[b] + rank)})
+
+
+def assign_ids(urls_ds, B=None, num_partitions=16):
+    """Dataset with a ``url`` column -> Dataset ``(url, vid)`` with
+    deterministic contiguous vids, one vid per distinct non-null url.
+
+    A rank task sorts the urls of one of K partitions, about
+    n_urls / K rows. ``B=None`` counts the urls and scales both with
+    the corpus: B = ceil(n_urls / 128Ki) (floor 32) buckets and K
+    raised to ceil(n_urls / 128Ki), so a rank task holds about 128Ki
+    urls at most. An explicit B is honoured (tests pin it) and K is
+    ``num_partitions``: the caller sizes it for the corpus. K is
+    capped at B; the vids do not depend on it.
 
     Returns (mapping Dataset, n)."""
     if B is None:
         urls_ds = urls_ds.materialize()
         n_urls = urls_ds.count()
         B = max(32, -(-n_urls // _IDS_BUCKET_ROWS))
-
-    def with_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket",
-                               pa.array(_bucket_of(t["url"], B)))
-
-    bucketed = urls_ds.map_batches(with_bucket, batch_format="pyarrow",
-                                   zero_copy_batch=True).materialize()
-    counts = bucketed.groupby("bucket").aggregate(Count(alias_name="n")) \
-                     .to_pandas()
+        num_partitions = _width(num_partitions, n_urls)
+    K = max(1, min(int(num_partitions), B))
+    cut = _tasks(_cut, K, split=True)
+    parts = [cut(K, B, "url", block) for block in urls_ds.to_arrow_refs()]
+    rank = _tasks(_rank, 2)
+    ranked = [rank(B, *[p[k] for p in parts]) for k in range(K)]
     offsets = np.zeros(B + 1, dtype=np.int64)
-    for _, row in counts.iterrows():
-        offsets[int(row["bucket"]) + 1] = int(row["n"])
-    np.cumsum(offsets, out=offsets)
-    n = int(offsets[-1])
-    offs = {b: int(offsets[b]) for b in range(B)}
-
-    def rank_group(t: pa.Table) -> pa.Table:
-        b = int(t["bucket"][0].as_py())
-        order = pc.sort_indices(t["url"])
-        url_sorted = pc.take(t["url"], order)
-        vids = pa.array(offs[b] + np.arange(len(order), dtype=np.int64))
-        return pa.table({"url": url_sorted, "vid": vids})
-
-    mapping = bucketed.groupby("bucket").map_groups(
-        rank_group, batch_format="pyarrow")
-
-    # map_groups emits ZERO-COLUMN empty blocks for shuffle partitions
-    # holding no bucket; a later hash join against the mapping then
-    # fails inside pyarrow ("no match for key field ... on right side")
-    # whenever such a block lands alone in a join partition. Give every
-    # block the declared schema.
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return pa.table({"url": pa.array([], pa.string()),
-                             "vid": pa.array([], pa.int64())})
-        return t
-
-    return mapping.map_batches(norm, batch_format="pyarrow"), n
+    np.cumsum(sum(ray.get([c for c, _ in ranked])), out=offsets[1:])
+    vids, off_ref = _tasks(_vids), ray.put(offsets)
+    return (rd.from_arrow_refs([vids(off_ref, r) for _, r in ranked]),
+            int(offsets[-1]))
 
 
-def dedup_edges(edges_ds, src="src", dst="dst", extra=()):
-    """(src, dst[, extra...]) link rows -> (src, dst[, extra...],
-    weight=count) with per-batch pre-aggregation before the groupby
-    shuffle."""
-    keys = [src, dst] + list(extra)
-
-    def preagg(t: pa.Table) -> pa.Table:
-        return t.group_by(keys).aggregate([([], "count_all")]) \
-                .rename_columns(keys + ["weight"])
-    pre = edges_ds.map_batches(preagg, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    out = pre.groupby(keys).aggregate(Sum("weight",
-                                          alias_name="weight"))
-    def to_float(t: pa.Table) -> pa.Table:
-        return t.set_column(t.schema.get_field_index("weight"), "weight",
-                            pc.cast(t["weight"], pa.float64()))
-    return out.map_batches(to_float, batch_format="pyarrow")
+def _by_src(K, n_map, carry, *parts):
+    """Partition k of the edge exchange, first half: its mapping share
+    (the first ``n_map`` parts) and its links with ``src`` resolved
+    (links from a url outside the mapping dropped), cut into K parts
+    by ``dst_url``. Returns ``[mapping, part_0, ..., part_{K-1}]``."""
+    mapping = _concat(parts[:n_map], url=pa.string(), vid=pa.int64())
+    links = _concat(parts[n_map:], src_url=pa.string(),
+                    dst_url=pa.string(),
+                    **{c: pa.int64() for c in carry})
+    src = _lookup(links["src_url"], mapping)
+    t = pa.table({"src": src, "dst_url": links["dst_url"],
+                  **{c: links[c] for c in carry}})
+    return [mapping] + _cut(K, K, "dst_url", t.filter(pc.is_valid(src)))
 
 
-def preagg_edges(edges_ds, src="src", dst="dst", extra=()):
-    """Per-batch combiner only — (src, dst, weight) multi-edge rows
-    with duplicates possible ACROSS batches. For consumers that finish
-    the dedup partition-locally (``DistGraph.from_dataset(dedup=True)``
-    co-locates all copies of an edge by src%P) or whose math sums
-    weights anyway; skips the groupby shuffle ``dedup_edges`` pays."""
-    keys = [src, dst] + list(extra)
-
-    def preagg(t: pa.Table) -> pa.Table:
-        out = t.group_by(keys).aggregate([([], "count_all")]) \
-               .rename_columns(keys + ["weight"])
-        return out.set_column(
-            out.schema.get_field_index("weight"), "weight",
-            pc.cast(out["weight"], pa.float64()))
-    return edges_ds.map_batches(preagg, batch_format="pyarrow",
-                                zero_copy_batch=True)
+def _by_dst(drop_dangling, carry, mapping, *parts):
+    """Partition k of the edge exchange, second half: ``dst`` resolved
+    against its mapping share (null for a url outside it, or the row
+    dropped with ``drop_dangling``) and the links counted per
+    (src, dst[, carry...]) as a float ``weight``."""
+    t = _concat(parts, src=pa.int64(), dst_url=pa.string(),
+                **{c: pa.int64() for c in carry})
+    dst = _lookup(t["dst_url"], mapping)
+    keys = ["src", "dst"] + carry
+    t = pa.table({"src": t["src"], "dst": dst,
+                  **{c: t[c] for c in carry}})
+    if drop_dangling:
+        t = t.filter(pc.is_valid(dst))
+    out = t.group_by(keys).aggregate([([], "count_all")])
+    return pa.table({**{k: out[k] for k in keys},
+                     "weight": pc.cast(out["count_all"], pa.float64())})
 
 
 _HOST_RE = r"^[^:/?#]+://(?P<host>[^/?#]+)"
@@ -204,51 +249,31 @@ def host_graph(links_ds, src="src_url", dst="dst_url"):
 
 
 def links_to_edges(links_ds, mapping_ds, n, num_partitions=16,
-                   drop_dangling=True, dedup=True, carry=()):
-    """(src_url, dst_url) -> (src, dst, weight) int edge table via two
-    hash joins against the id mapping; links to urls outside the corpus
-    are dropped (dangling targets, FIXTURES.md §1). ``dedup=False``
-    returns per-batch pre-aggregated multi-edge rows instead of paying
-    the global groupby (see ``preagg_edges``). ``carry`` names extra
-    link columns (e.g. a crawl-slice tag) kept through the joins and
-    folded into the dedup key, so ONE join pass can serve every
-    slice."""
+                   drop_dangling=True, carry=()):
+    """(src_url, dst_url) links -> (src, dst[, carry...], weight) int
+    edge table, one row per distinct edge, ``weight`` = link count;
+    two rounds of a K wide exchange resolve ``src`` and then ``dst``
+    against the ``(url, vid)`` mapping of ``n`` urls. K is
+    ``num_partitions``, raised to ceil(n / 128Ki) so a task holds
+    about 128Ki mapping rows at most, plus 1/K of the links.
+    Links to urls outside the corpus are dropped (dangling targets,
+    FIXTURES.md §1), or kept with a null ``dst`` when
+    ``drop_dangling=False`` (those rows sum per source within each
+    partition). ``carry`` names extra int64 link columns (e.g. a
+    crawl-slice tag) kept through the exchange and folded into the
+    dedup key, so ONE pass can serve every slice."""
+    K = _width(num_partitions, n)
     carry = list(carry)
-
-    # empty upstream datasets (e.g. a crawl window with no pages) can
-    # contribute ZERO-COLUMN empty blocks that crash the pyarrow hash
-    # join — rebuild the declared schema for them (carry columns are
-    # int64 tags by contract)
-    def _norm_links(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            cols = {"src_url": pa.array([], pa.string()),
-                    "dst_url": pa.array([], pa.string())}
-            for c in carry:
-                cols[c] = pa.array([], pa.int64())
-            return pa.table(cols)
-        return t
-
-    links_ds = links_ds.map_batches(_norm_links,
-                                    batch_format="pyarrow")
-    m_src = mapping_ds.map_batches(
-        lambda t: t.rename_columns(["src_url", "src"]),
-        batch_format="pyarrow")
-    m_dst = mapping_ds.map_batches(
-        lambda t: t.rename_columns(["dst_url", "dst"]),
-        batch_format="pyarrow")
-    j1 = links_ds.join(m_src, "inner", num_partitions, on=("src_url",))
-    # Ray's join emits ZERO-COLUMN empty blocks for dataless hash
-    # partitions, and map_batches passes empties through WITHOUT
-    # calling fn (CLAUDE.md gotcha), so they would crash the second
-    # join layout-dependently ("No match for FieldRef dst_url").
-    # repartition coalesces blocks and drops the schema-less empties
-    # — block-level only, no row shuffle.
-    j1 = j1.repartition(num_partitions)
-    j2 = j1.join(m_dst, "inner" if drop_dangling else "left_outer",
-                 num_partitions, on=("dst_url",))
-    ints = j2.select_columns(["src", "dst"] + carry)
-    return dedup_edges(ints, extra=carry) if dedup \
-        else preagg_edges(ints, extra=carry)
+    cut = _tasks(_cut, K, split=True)
+    m_parts = [cut(K, K, "url", b) for b in mapping_ds.to_arrow_refs()]
+    l_parts = [cut(K, K, "src_url", b) for b in links_ds.to_arrow_refs()]
+    by_src = _tasks(_by_src, K + 1)
+    outs = [by_src(K, len(m_parts), carry, *[p[k] for p in m_parts],
+                   *[p[k] for p in l_parts]) for k in range(K)]
+    by_dst = _tasks(_by_dst)
+    return rd.from_arrow_refs([
+        by_dst(drop_dangling, carry, outs[k][0],
+               *[o[1 + k] for o in outs]) for k in range(K)])
 
 
 def pages_to_graph_arrays(pages_ds, B=32, concurrency=8):
@@ -256,9 +281,9 @@ def pages_to_graph_arrays(pages_ds, B=32, concurrency=8):
 
     Small-side-broadcast variant: the url->vid mapping is broadcast
     once via ``ray.put`` and links resolve with a dict lookup inside
-    ``map_batches`` — no join shuffle at all (ray_guide.md "Joins and
+    ``map_batches`` — no exchange at all (ray_guide.md "Joins and
     lookups"). Right while the mapping fits a node's memory; beyond
-    that use ``pages_to_graph`` (hash joins). Final dedup is a
+    that use ``pages_to_graph`` (the bucketed exchange). Final dedup is a
     driver-side ``np.unique`` over per-batch pre-deduped pairs, since
     the caller consumes driver-side arrays anyway."""
     import ray
@@ -319,8 +344,7 @@ def pages_to_graph_arrays(pages_ds, B=32, concurrency=8):
 
 
 def pages_temporal_graph(pages_ds, n_slices, B=None,
-                         num_partitions=16, spill_dir=None,
-                         dedup=True):
+                         num_partitions=16, spill_dir=None):
     """Crawl-snapshot slicing: cut the pages table into ``n_slices``
     equal-width ``warc_ts`` windows and build one url->url edge table
     per window on ONE shared id space — the input form
@@ -333,7 +357,10 @@ def pages_temporal_graph(pages_ds, n_slices, B=None,
     re-running with the same ``spill_dir`` reuses a completed spill —
     a ``_SPILL_DONE`` marker guards against the double-append a naive
     rerun would silently produce), a single shared ``assign_ids`` over
-    the corpus urls, then per-slice extract -> links -> id-join.
+    the corpus urls (a url recrawled in several snapshots gets ONE
+    vid: the rank tasks drop duplicates), then one ``links_to_edges``
+    exchange for every slice's links, the slice tag a group key.
+    ``num_partitions`` is the exchange width.
     Returns ``(slice_edge_datasets, mapping_ds, n, bounds_us)`` where
     ``bounds_us[t]`` is the first timestamp of slice t (consistent
     with the tagging: slice(ts) = floor((ts-lo)*T/span)).
@@ -400,9 +427,7 @@ def pages_temporal_graph(pages_ds, n_slices, B=None,
 
     # a window with zero pages writes no directory (clustered crawl
     # timestamps): such slices are tracked and get a typed empty edge
-    # Dataset at the end — they must NOT enter the union/join pipeline
-    # (Ray Data passes zero-column empty blocks through map_batches
-    # untouched, and the pyarrow hash join crashes on them)
+    # Dataset at the end
     present = [t for t in range(T)
                if os.path.isdir(os.path.join(spill_dir,
                                              f"slice={t}"))]
@@ -418,19 +443,10 @@ def pages_temporal_graph(pages_ds, n_slices, B=None,
         urls = u if urls is None else urls.union(u)
     if urls is None:
         raise ValueError("pages dataset is empty")
-    # a url recrawled in several snapshots must map to ONE vid:
-    # per-batch dedup partials + one url shuffle before the ranking
-    urls = urls.map_batches(
-        lambda t: t.group_by(["url"]).aggregate([]),
-        batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("url").aggregate(Count(alias_name="_n")) \
-        .map_batches(lambda t: t.select(["url"]),
-                     batch_format="pyarrow")
-    mapping, n = assign_ids(urls, B=B)
-    mapping = mapping.materialize()
+    mapping, n = assign_ids(urls, B=B, num_partitions=num_partitions)
 
-    # ONE id-join pass for every slice (the slice tag rides through
-    # the joins and the dedup key) instead of 2T mapping shuffles
+    # ONE exchange for every slice (the slice tag rides through it
+    # into the dedup key)
     def tag_links(t_idx):
         def fn(t: pa.Table) -> pa.Table:
             return t.append_column(
@@ -447,8 +463,7 @@ def pages_temporal_graph(pages_ds, n_slices, B=None,
             else links_all.union(tagged)
     edges_all = links_to_edges(links_all, mapping, n,
                                num_partitions=num_partitions,
-                               dedup=dedup,
-                               carry=["slice_t"]).materialize()
+                               carry=["slice_t"])
 
     empty_edges = rd.from_arrow(pa.table({
         "src": pa.array([], pa.int64()),
@@ -474,19 +489,20 @@ def pages_to_graph(pages_ds, B=None, num_partitions=16, dedup=True,
                    extracted=None, canonicalize=False):
     """Full pipeline: pages -> extract -> id-assign -> dedup'd int edge
     table. Returns (edges Dataset(src,dst,weight), mapping Dataset, n).
-    ``dedup=False`` leaves the exact dedup to the partition-local pass
-    in ``DistGraph.from_dataset(dedup=True)``. Pass ``extracted`` (a
-    materialised ``extract_dataset`` result) to share one extraction
-    run with other consumers (host graph, text stages) instead of
-    re-parsing the corpus.
+    ``num_partitions`` is the exchange width K of ``assign_ids`` and
+    ``links_to_edges`` (both raise it for a large corpus); ``dedup``
+    is accepted for compatibility (the edge table is exact, one row
+    per pair, either way). Pass ``extracted`` (a materialised
+    ``extract_dataset`` result) to share one extraction run with other
+    consumers (host graph, text stages) instead of re-parsing the
+    corpus.
 
     ``canonicalize=True`` runs `stages/urls.py` over page urls and
     both link endpoints before id assignment, so url variants (case,
     fragments, tracking params, default ports) merge into one vertex
-    and their links resolve. Colliding page urls are globally deduped
-    (one url shuffle — the canonical universe must be unique before
-    `assign_ids`); off the default path because it changes vertex
-    identity."""
+    and their links resolve. Colliding page urls get one vid (the
+    rank tasks of `assign_ids` drop duplicates); off the default path
+    because it changes vertex identity."""
     from .extract import extract_dataset, links_of, texts_of
 
     if extracted is None:
@@ -494,8 +510,6 @@ def pages_to_graph(pages_ds, B=None, num_partitions=16, dedup=True,
     links = links_of(extracted)
     urls = texts_of(extracted).select_columns(["url"])
     if canonicalize:
-        import pyarrow.compute as pc
-
         from .urls import canonicalize_url_array
 
         links = links.map_batches(
@@ -504,13 +518,9 @@ def pages_to_graph(pages_ds, B=None, num_partitions=16, dedup=True,
                 "dst_url": canonicalize_url_array(t["dst_url"])}),
             batch_format="pyarrow", zero_copy_batch=True)
         urls = urls.map_batches(
-            lambda t: pa.table(
-                {"url": pc.unique(canonicalize_url_array(t["url"]))}),
-            batch_format="pyarrow", zero_copy_batch=True) \
-            .groupby("url").map_groups(lambda df: df.head(1),
-                                       batch_format="pandas")
-    mapping, n = assign_ids(urls, B=B)
-    mapping = mapping.materialize()
+            lambda t: pa.table({"url": canonicalize_url_array(t["url"])}),
+            batch_format="pyarrow", zero_copy_batch=True)
+    mapping, n = assign_ids(urls, B=B, num_partitions=num_partitions)
     edges = links_to_edges(links, mapping, n,
-                           num_partitions=num_partitions, dedup=dedup)
+                           num_partitions=num_partitions)
     return edges, mapping, n

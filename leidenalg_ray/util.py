@@ -27,3 +27,20 @@ def round6(x) -> np.ndarray:
 
 def round2(x) -> np.ndarray:
     return round_half_away(x, 2)
+
+
+def session_cpus() -> int:
+    """Logical CPUs of the Ray session (at least 1; 1 when the cluster
+    reports no CPU resource). Starts Ray first if it is not running,
+    as the first Ray Data or task call would."""
+    import ray
+    if not ray.is_initialized():
+        ray.init()
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def join_partitions(num_partitions):
+    """``num_partitions`` capped at ``session_cpus()``: a Ray Data
+    hash join runs one shuffle aggregator per partition, and more of
+    them than CPUs can stall the join for minutes."""
+    return max(1, min(int(num_partitions), session_cpus()))

@@ -47,7 +47,8 @@ def main():
     ap.add_argument("--build", default="distributed",
                     choices=["distributed", "broadcast"],
                     help="distributed: bucket-rank id assignment + "
-                         "hash joins + Dataset-built CSR blocks (the "
+                         "edge resolution on one bucketed task "
+                         "exchange + Dataset-built CSR blocks (the "
                          ">node-memory path, default); broadcast: "
                          "driver-sorted mapping broadcast (faster "
                          "while the url set fits one node)")
@@ -107,8 +108,7 @@ def main():
     if args.build == "distributed":
         # >node-memory shape: the driver never holds urls or edges
         edges_ds, mapping_ds, n = pages_to_graph(
-            pages, B=32, num_partitions=P, dedup=False,
-            extracted=shared_extracted,
+            pages, B=32, num_partitions=P, extracted=shared_extracted,
             canonicalize=args.canonicalize)
         edges_ds = edges_ds.materialize()   # reused by three builds
         mapping = mapping_ds.materialize()

@@ -61,6 +61,23 @@ def test_k_anonymity_flag_matches_count(ray_session):
     assert ((df["n"] < Q.K_ANON).astype(int) == df["at_risk"]).all()
 
 
+def test_co_self_join_partitions_capped_at_cpus(ray_session):
+    """A co-graph self-join asked for more partitions than the
+    session has CPUs runs one per CPU (more can stall the join), and
+    the memoised rows are shared under the capped count."""
+    import ray
+    from leidenalg_ray.pipelines import tpch_graphs as tg
+    from leidenalg_ray.util import join_partitions, session_cpus
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert session_cpus() == cpus
+    assert join_partitions(4 * cpus) == cpus
+    assert join_partitions(1) == 1
+    rows = tg.co_edge_rows(SF, num_partitions=4 * cpus)
+    assert rows.count() > 0
+    assert tg.co_edge_rows(SF, num_partitions=cpus) is rows
+
+
 def test_rich_club_monotone_shrinking_club(ray_session):
     df = _df(Q.QUERIES["rich_club_co"](SF)).sort_values("k")
     # the club can only shrink as k grows

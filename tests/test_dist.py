@@ -507,9 +507,10 @@ def test_from_dataset_partition_local_dedup(tmp_path, random_graph):
 
 
 def test_pages_distributed_build_matches_broadcast(tmp_path):
-    """The at-scale pages build (bucket-rank ids + hash joins +
-    partition-local dedup) must give each URL the same PageRank as the
-    broadcast-arrays variant (ids differ — compare per-url)."""
+    """The at-scale pages build (bucket-rank ids + the bucketed
+    exchange + partition-local dedup) must give each URL the same
+    PageRank as the broadcast-arrays variant (ids differ — compare
+    per-url)."""
     import ray.data as rd
     from leidenalg_ray.sources.pages import ensure_pages_corpus
     from leidenalg_ray.stages.graph_build import (
@@ -520,9 +521,6 @@ def test_pages_distributed_build_matches_broadcast(tmp_path):
     psrc, pdst, pw, mdf, nv = pages_to_graph_arrays(pages, B=8)
     ga = DistGraph.from_edges(psrc, pdst, n=nv, P=4, directed=True)
     ra, _ = ss.pagerank(ga, tol=1e-10)
-    # num_partitions small: each chained join spawns that many
-    # shuffle-aggregator actors, and the 4-cpu test session deadlocks
-    # if two joins outsize it
     edges_ds, mapping, nd = pages_to_graph(pages, B=8,
                                            num_partitions=2,
                                            dedup=False)

@@ -335,8 +335,8 @@ def test_url_canonicalize_rules():
 def test_pages_to_graph_canonicalize_merges_variants(ray_session):
     """canonicalize=True: url variants (case/fragment/tracking params)
     merge into one vertex and their links resolve; without it the
-    messy hrefs dangle. Also pins the tiny-layout join robustness
-    (zero-column empty blocks from dataless join partitions)."""
+    messy hrefs dangle. Also pins the tiny layout: most exchange
+    partitions of a 3-page corpus hold no row."""
     import pyarrow as pa
     import ray.data as rd
 

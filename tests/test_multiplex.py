@@ -238,6 +238,36 @@ def test_resolution_profile_dataset_matches_inmemory():
     assert got == want == [(6, 270.0), (60, 0.0)]
 
 
+def test_resolution_profile_dataset_spill_cleanup(tmp_path, monkeypatch):
+    """The profile removes the ``lray_profile_*`` spill it made once it
+    returns, and keeps a spill directory the caller passed in."""
+    import os
+    import tempfile
+
+    import pyarrow as pa
+    import ray.data as rd
+    from leidenalg_ray import resolution_profile_dataset
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    n = 30
+    s, d = _planted_cliques(n, 10)
+    ds = rd.from_arrow(pa.table({"src": pa.array(s),
+                                 "dst": pa.array(d)}))
+    prof = resolution_profile_dataset(ds, n=n, resolution_range=(0.05, 2),
+                                      P=2, seed=42)
+    assert prof
+    assert not [e for e in os.listdir(tmp)
+                if e.startswith("lray_profile_")]
+
+    own = tmp_path / "spill"
+    resolution_profile_dataset(ds, n=n, resolution_range=(0.05, 2), P=2,
+                               seed=42, spill_dir=str(own))
+    assert sorted(e for e in os.listdir(own) if e.startswith("part=")) \
+        == ["part=0", "part=1"]
+
+
 def test_from_dataset_infers_layer_count():
     """A bare ``layer`` column (no n_layers / per-layer lists) must
     make the graph multiplex — previously L stayed 1 and shard actors
