@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import ray
 
+from .exchange import _map, _tasks
+
 
 def part_of(v, P):
     return v % P
@@ -154,7 +156,6 @@ class DistGraph:
         iff it has any in- or out-edge."""
         if self._active is not None:
             return self._active
-        from .superstep import _map
 
         def mask(outd, indd):
             m = (outd > 0) | (indd > 0)
@@ -195,7 +196,6 @@ class DistGraph:
             n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
         if weight is not None:
             weight = np.asarray(weight, dtype=np.float64)
-        from .superstep import _tasks    # superstep imports this module
         launch = _tasks(_edge_block, num_returns=3)
         refs = [ray.put(src), ray.put(dst),
                 None if weight is None else ray.put(weight)]

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 # Version tag for the url -> vid assignment the checkpointed vertex
-# state is keyed on (stages/graph_build._bucket_of + assign_ids).
+# state is keyed on (dist/exchange._bucket_of + assign_ids).
 # Changing the bucket hash or ranking order re-maps every vid, so any
 # checkpoint written under the old mapping would silently apply labels
 # to the wrong vertices on resume. Bump this when the mapping changes;

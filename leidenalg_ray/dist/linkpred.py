@@ -7,7 +7,7 @@ community detection). All three run on the partitioned envelope of
 lo -> hi and deduped, to K buckets by ``a % K`` and hands back one ref
 per bucket plus the degree partials; every later stage is one task per
 bucket returning one part per bucket (``_split_by`` through
-``superstep._tasks(..., split=True)``), so parts flow worker to worker
+``exchange._tasks(..., split=True)``), so parts flow worker to worker
 and the plan is the same at any K >= 1.
 
 - ``adamic_adar_topk``: top-k non-adjacent vertex pairs by
@@ -39,9 +39,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from .superstep import _map, _tasks
+from .exchange import _map, _split_by, _tasks
 from .triangles import (_bucket_edges, _grouped_csr, _row_pairs,
-                        _split_by, _vertex_totals)
+                        _vertex_totals)
 
 
 def _group_sum(keys, score, counts=None):

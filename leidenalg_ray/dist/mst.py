@@ -37,8 +37,8 @@ import numpy as np
 import ray
 
 from .blocks import DistGraph
-from .superstep import _by_dest, _claim_output, _map, _tasks, _write_part
-from .triangles import _split_by
+from .exchange import _map, _split_by, _tasks
+from .superstep import _by_dest, _claim_output, _write_part
 
 
 def _split_query(P, q):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-from .superstep import _tasks
+from .exchange import _tasks
 
 
 @ray.remote

@@ -52,24 +52,23 @@ against one runtime of private helpers:
   passing ``_combine`` and ``"push"``.
 
 So a kernel is its initial state, its per-edge message and its
-combine. Shard work runs as stateless tasks of two module-level
-remote functions (``_run``, ``_run_split``) — no actor, no long-lived
-process — that take the kernel's function as an argument, pickled
-once per launch by ``_tasks``. Output goes through ``_finish``: an
-assembled array on the driver, or with ``result_out=<dir>`` one
-``(vid, <column>)`` parquet file per shard written by the workers,
-into a directory named by the kernel's result-changing arguments
-(``**identity``, see ``_claim_output``).
+combine. Shard work runs as stateless tasks of ``exchange.py``
+(``_tasks``, ``_map``) — no actor, no long-lived process — that take
+the kernel's function as an argument, pickled once per launch.
+Output goes through ``_finish``: an assembled array on the driver, or
+with ``result_out=<dir>`` one ``(vid, <column>)`` parquet file per
+shard written by the workers, into a directory named by the kernel's
+result-changing arguments (``**identity``, see ``_claim_output``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import ray
-from ray import cloudpickle
 
 from .blocks import DistGraph
 from .checkpoint import CheckpointManager
+from .exchange import _map, _tasks
 
 BIG = np.iinfo(np.int64).max   # int64 min-identity / "unreached"
 
@@ -77,44 +76,6 @@ BIG = np.iinfo(np.int64).max   # int64 min-identity / "unreached"
 # ----------------------------------------------------------------------
 # Runtime
 # ----------------------------------------------------------------------
-@ray.remote
-def _run(fn, *args):
-    """Every shard task of this module: ``fn`` (pickled by ``_tasks``)
-    applied to ``args`` on a worker."""
-    return cloudpickle.loads(fn)(*args)
-
-
-@ray.remote
-def _run_split(fn, *args):
-    """``_run`` of a function returning one output per destination
-    partition, launched with ``num_returns=P``. Ray stores a single
-    return value whole, so at P=1 the one output goes back bare."""
-    outs = cloudpickle.loads(fn)(*args)
-    return outs[0] if len(outs) == 1 else outs
-
-
-def _tasks(fn, num_returns=1, split=False):
-    """Launcher of ``fn`` tasks: ``launch(*args)`` starts one and
-    returns its ref(s). ``fn`` is pickled once here, not once per
-    task. ``split``: each task returns ``num_returns`` = P outputs,
-    one per destination partition, handed back as a list of P refs
-    at any P."""
-    blob = cloudpickle.dumps(fn)
-    task = (_run_split if split else _run).options(num_returns=num_returns)
-    if split and num_returns == 1:
-        return lambda *args: [task.remote(blob, *args)]
-    return lambda *args: task.remote(blob, *args)
-
-
-def _map(fn, *cols, num_returns=1):
-    """One ``fn(cols[0][p], cols[1][p], ...)`` task per partition p: the
-    list of result refs, or one such list per return value when
-    ``num_returns > 1``."""
-    launch = _tasks(fn, num_returns)
-    outs = [launch(*args) for args in zip(*cols)]
-    return outs if num_returns == 1 else [list(c) for c in zip(*outs)]
-
-
 def _by_dest(block, *per_edge):
     """Per destination partition q: ``(dst_local, *per_edge)`` cut to
     the block's edges into q (contiguous — blocks sort by dst_part)."""

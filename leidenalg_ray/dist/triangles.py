@@ -33,7 +33,7 @@ share them:
   deduped, to K buckets by ``a % K`` and loads each into one ref plus
   its degree partial; degree/rank state is the only O(V) driver
   piece. Every later stage is one task per bucket that returns one
-  part per bucket (``_split_by`` run through ``superstep._tasks(...,
+  part per bucket (``_split_by`` run through ``exchange._tasks(...,
   split=True)``, the same at any K >= 1), so wedge keys
   (``_wedges_by_bucket``) flow worker-to-worker into the partition
   that owns their closing edge — no stage ever holds the full edge
@@ -52,7 +52,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from .superstep import _map, _tasks
+from .exchange import _map, _split_by, _tasks
 
 # wedges per ``_row_pairs`` chunk: bounds a task's transient arrays
 _CHUNK_PAIRS = 1 << 21
@@ -160,16 +160,6 @@ def _closed_wedges(indptr, fdst, keys, n, rows):
         idx = np.searchsorted(keys, k).clip(0, len(keys) - 1)
         hit = keys[idx] == k
         yield i[hit], j[hit], idx[hit]
-
-
-def _split_by(bucket, K, *cols):
-    """``cols`` cut into K parts by ``bucket`` (stable): a list of K
-    tuples, part k holding the rows with ``bucket == k``."""
-    order = np.argsort(bucket, kind="stable")
-    bounds = np.searchsorted(bucket[order], np.arange(K + 1))
-    cols = [c[order] for c in cols]
-    return [tuple(c[bounds[k]:bounds[k + 1]] for c in cols)
-            for k in range(K)]
 
 
 def _dedup_pairs(a, b):

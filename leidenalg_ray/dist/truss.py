@@ -19,11 +19,10 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-from .superstep import _map, _tasks
+from .exchange import _map, _split_by, _tasks
 from .triangles import (_bucket_degrees, _canonical_edges, _closed_wedges,
                         _forward_by_bucket, _forward_csr, _key_index,
-                        _rank_of, _row_ranges, _split_by,
-                        _wedges_by_bucket)
+                        _rank_of, _row_ranges, _wedges_by_bucket)
 
 
 def _support_part(keys, adj, n, lo, hi):

@@ -10,16 +10,42 @@ Two canonical graphs (used by the correctness-gate queries and bench):
 - ``co``: undirected part co-occurrence graph: two parts are linked
   once per pair of lineitem rows that share an order
   (``a < b`` canonical orientation); weight = pair count.
+
+The co graph is a self-join of lineitem on ``l_orderkey`` followed by
+a count per pair, built on the bucketed task exchange of
+``dist/exchange.py`` (no Ray Data read, join or groupby):
+
+1. the driver lists lineitem's parquet row groups from the footers;
+2. one task per row group reads ``(l_orderkey, l_partkey)`` and cuts
+   the rows by ``l_orderkey % K``, so every order lands whole in one
+   partition;
+3. one pair task per partition sorts its rows by (orderkey, partkey),
+   expands each order's row pairs with ``a < b`` and pre-aggregates
+   them into ``(a << 32 | b, count)`` partials;
+4. the final combine sums the partials per pair key: on the driver
+   for ``co_edge_arrays``, in K tasks fed by a second cut by pair key
+   for ``co_edges``.
+
+This is the partial-then-final hash aggregation of "Robust External
+Hash Aggregation in the Solid State Age" (ICDE 2024, PAPERS.md) with
+the partition by order key standing in for the join.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..dist.cooccur import _cut_orders, _merge_pairs, _merge_table, \
+    _order_pairs
+from ..dist.exchange import _tasks, _width
 from ..util import join_partitions
 
 
@@ -52,51 +78,64 @@ def ps_edges(sf_dir):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
+def _lineitem_row_groups(sf_dir):
+    """``(path, row group)`` of every row group of
+    ``<sf_dir>/lineitem.parquet`` (one file or a directory of files),
+    and the total row count, read from the parquet footers only."""
+    ds = pads.dataset(os.path.abspath(f"{sf_dir}/lineitem.parquet"),
+                      format="parquet")
+    groups, rows = [], 0
+    for frag in ds.get_fragments():
+        meta = frag.metadata
+        groups += [(frag.path, g) for g in range(meta.num_row_groups)]
+        rows += meta.num_rows
+    return groups, rows
+
+
+def _co_partials(sf_dir, num_partitions, by_key):
+    """Steps 1-3 of the co-graph build (module docstring): per order
+    partition, its pair partials as one ref, or (``by_key``) as K refs
+    cut by pair key for K combine tasks. K is ``num_partitions``,
+    raised by ``_width`` so a pair task holds about 128Ki lineitem
+    rows at most; it is a task count, safe above the CPU count."""
+    groups, rows = _lineitem_row_groups(sf_dir)
+    K = _width(num_partitions, rows)
+    cut = _tasks(_cut_orders, K, split=True)
+    parts = [cut(K, path, g) for path, g in groups]
+    J = K if by_key else 1
+    pairs = _tasks(_order_pairs, J, split=True)
+    return [pairs(J, *[q[k] for q in parts]) for k in range(K)]
+
+
 def co_edges(sf_dir, num_partitions=16):
-    """Dataset (a, b, weight): part co-occurrence within orders, a<b.
-    The pair enumeration is a self hash-join of lineitem on
-    l_orderkey; the dedup is a groupby with per-batch combiners."""
-    num_partitions = join_partitions(num_partitions)
-    li = read_lineitem(sf_dir, ["l_orderkey", "l_partkey"])
-    right = li.map_batches(
-        lambda t: t.rename_columns(["l_orderkey", "partkey_r"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    joined = li.join(right, "inner", num_partitions, on=("l_orderkey",))
-
-    def pairs(t: pa.Table) -> pa.Table:
-        a = t["l_partkey"]
-        b = t["partkey_r"]
-        tt = pa.table({"a": a, "b": b}).filter(pc.less(a, b))
-        return tt.group_by(["a", "b"]).aggregate([([], "count_all")]) \
-                 .rename_columns(["a", "b", "weight"])
-
-    pre = joined.map_batches(pairs, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    out = pre.groupby(["a", "b"]).aggregate(Sum("weight",
-                                                alias_name="weight"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": pc.cast(t["a"], pa.int64()),
-            "b": pc.cast(t["b"], pa.int64()),
-            "weight": pc.cast(t["weight"], pa.float64()),
-        })
-    return out.map_batches(finish, batch_format="pyarrow")
+    """Dataset (a, b, weight): part co-occurrence within orders, a<b,
+    one row per pair. The order-partitioned pair partials (module
+    docstring) are cut again by pair key, and K combine tasks sum
+    them into K tables (``num_partitions`` sizes K, see
+    ``_co_partials``)."""
+    outs = _co_partials(sf_dir, num_partitions, by_key=True)
+    combine = _tasks(_merge_table)
+    return rd.from_arrow_refs([combine(*[o[k] for o in outs])
+                               for k in range(len(outs))])
 
 
 _CO_ROWS_CACHE = {}
 
 
 def co_edge_rows(sf_dir, num_partitions=16):
-    """Multi-edge variant of ``co_edges``: per-batch pre-aggregated
-    (a, b, weight) rows WITHOUT the global groupby dedup. Consumers
-    whose math sums edge weights anyway (Leiden, weighted PageRank,
-    CSR block builds with partition-local dedup) don't need the exact
-    one-row-per-pair table, and Ray Data's groupby-aggregate carries a
-    ~12 s fixed shuffle cost at sandbox scale — the single most
-    expensive avoidable stage in the bench. Memoised (materialized)
-    per sf_dir: every graph query on the co graph shares one
-    self-join."""
+    """Multi-edge variant of ``co_edges``: (src, dst, weight) rows of
+    the co graph pre-aggregated per batch of a Ray Data self hash-join
+    on ``l_orderkey``, WITHOUT the final dedup, so a pair can span
+    several rows. Consumers whose math sums edge weights anyway
+    (Leiden, weighted PageRank, CSR block builds with partition-local
+    dedup) don't need the exact one-row-per-pair table. Memoised
+    (materialized) per sf_dir: every graph query on the co graph
+    shares one self-join.
+
+    It stays on the Ray Data join, unlike ``co_edges``: the seeded
+    ``leiden_*_co`` rows consume this row multiset (its row split and
+    order), and those rows have no oracle yet to show that a
+    different multiset leaves their output correct."""
     num_partitions = join_partitions(num_partitions)
     key = (sf_dir, num_partitions)
     if key in _CO_ROWS_CACHE:
@@ -318,49 +357,17 @@ _CO_CACHE = {}
 
 
 def co_edge_arrays(sf_dir, num_partitions=16):
-    """(a, b, weight) numpy arrays of the co-occurrence graph.
-
-    The superstep substrate consumes driver-side arrays, so the final
-    dedup runs as one vectorised ``np.unique`` over the streamed,
-    per-batch pre-deduped pair rows — skipping the groupby shuffle the
-    Dataset variant (``co_edges``) needs when the result must stay
-    distributed. Memoised per sf_dir: the graph algorithms in the
-    driver's correctness gate all share one build."""
-    if sf_dir in _CO_CACHE:
-        return _CO_CACHE[sf_dir]
-    num_partitions = join_partitions(num_partitions)
-    li = read_lineitem(sf_dir, ["l_orderkey", "l_partkey"])
-    right = li.map_batches(
-        lambda t: t.rename_columns(["l_orderkey", "partkey_r"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    joined = li.join(right, "inner", num_partitions, on=("l_orderkey",))
-
-    def pairs(t: pa.Table) -> pa.Table:
-        a = t["l_partkey"]
-        b = t["partkey_r"]
-        tt = pa.table({"a": a, "b": b}).filter(pc.less(a, b))
-        return tt.group_by(["a", "b"]).aggregate([([], "count_all")]) \
-                 .rename_columns(["a", "b", "weight"])
-
-    keys, weights = [], []
-    M = np.int64(1) << 32
-    for batch in joined.map_batches(pairs, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-                       .iter_batches(batch_format="pyarrow",
-                                     batch_size=1 << 18):
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys.append(a * M + b)
-        weights.append(batch["weight"].to_numpy(zero_copy_only=False)
-                       .astype(np.float64))
-    key = np.concatenate(keys) if keys else np.empty(0, np.int64)
-    wt = np.concatenate(weights) if weights else np.empty(0)
-    uniq, inv = np.unique(key, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inv, wt)
-    out = ((uniq // M).astype(np.int64), (uniq % M).astype(np.int64), w)
-    _CO_CACHE[sf_dir] = out
-    return out
+    """(a, b, weight) numpy arrays of the co-occurrence graph, sorted
+    by (a, b): the order-partitioned pair partials (module docstring)
+    summed on the driver by one ``np.unique`` + ``np.add.at``, since
+    the superstep substrate consumes driver-side arrays. The arrays
+    do not depend on ``num_partitions`` (K, see ``_co_partials``).
+    Memoised per sf_dir: the graph algorithms in the driver's
+    correctness gate all share one build."""
+    if sf_dir not in _CO_CACHE:
+        outs = _co_partials(sf_dir, num_partitions, by_key=False)
+        _CO_CACHE[sf_dir] = _merge_pairs(*ray.get([o[0] for o in outs]))
+    return _CO_CACHE[sf_dir]
 
 
 _PS_CACHE = {}

@@ -24,9 +24,9 @@ partitioned dataflow), K partitions wide:
    external hash aggregation. Every copy of a pair shares its
    ``dst_url``, so the dedup is exact.
 
-These are tasks launched through ``superstep._tasks``, not Ray Data
-shuffles: no join, groupby or repartition, so a width above the CPU
-count only queues tasks.
+These are tasks of ``dist/exchange.py``, not Ray Data shuffles: no
+join, groupby or repartition, so a width above the CPU count only
+queues tasks.
 """
 
 from __future__ import annotations
@@ -38,38 +38,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-from ..dist.superstep import _tasks
-from ..dist.triangles import _split_by
-
-
-def _bucket_of(urls: pa.ChunkedArray, B: int) -> np.ndarray:
-    """Deterministic url -> bucket via FNV-1a, vectorised over the
-    Arrow string buffers: one numpy pass per byte position (urls are
-    short), no per-row Python. Stable across processes (unlike
-    Python's salted hash). Changing this hash re-maps every assigned
-    vid — bump ``dist.checkpoint.ID_FORMAT`` in lockstep so old
-    vid-keyed checkpoints are rejected on resume, not mis-applied."""
-    arr = urls.combine_chunks() if isinstance(urls, pa.ChunkedArray) \
-        else urls
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    bufs = arr.buffers()
-    odt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-    off = np.frombuffer(bufs[1], dtype=odt)[
-        arr.offset:arr.offset + n + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
-    lens = np.diff(off)
-    h = np.full(n, 0xcbf29ce484222325, dtype=np.uint64)
-    prime = np.uint64(0x100000001B3)
-    starts = off[:-1]
-    with np.errstate(over="ignore"):
-        for p in range(int(lens.max(initial=0))):
-            active = lens > p
-            h[active] = ((h[active]
-                          ^ data[starts[active] + p].astype(np.uint64))
-                         * prime)
-    return (h % np.uint64(B)).astype(np.int64)
+from ..dist.exchange import _bucket_of, _concat, _cut, _tasks, _width
 
 
 def canonicalize(url: str) -> str:
@@ -90,32 +59,6 @@ def canonicalize(url: str) -> str:
 # links_to_edges so does the width K, so one task's share of the urls
 # stays near this size whatever the corpus size
 _IDS_BUCKET_ROWS = 1 << 17
-
-
-def _width(num_partitions, n_urls):
-    """Exchange width: ``num_partitions``, raised to
-    ceil(n_urls / _IDS_BUCKET_ROWS) for a corpus too large for it."""
-    return max(1, int(num_partitions), -(-int(n_urls) // _IDS_BUCKET_ROWS))
-
-
-def _cut(K, B, col, t):
-    """Block ``t`` cut into K parts by ``_bucket_of(t[col], B) % K``.
-    A zero-column empty block (Ray Data emits them for dataless
-    shuffle partitions) cuts into K empty parts."""
-    if col not in t.column_names:
-        return [t] * K
-    part = _bucket_of(t[col], B) % K
-    return [t.take(idx)
-            for (idx,) in _split_by(part, K, np.arange(t.num_rows))]
-
-
-def _concat(parts, **types):
-    """The rows of ``parts`` as one table, or an empty table of
-    ``types`` (column -> Arrow type) when no part has a row."""
-    parts = [t for t in parts if t.num_rows]
-    if not parts:
-        return pa.table({c: pa.array([], ty) for c, ty in types.items()})
-    return pa.concat_tables(parts, promote_options="permissive")
 
 
 def _lookup(urls, mapping):
@@ -161,7 +104,7 @@ def assign_ids(urls_ds, B=None, num_partitions=16):
         urls_ds = urls_ds.materialize()
         n_urls = urls_ds.count()
         B = max(32, -(-n_urls // _IDS_BUCKET_ROWS))
-        num_partitions = _width(num_partitions, n_urls)
+        num_partitions = _width(num_partitions, n_urls, _IDS_BUCKET_ROWS)
     K = max(1, min(int(num_partitions), B))
     cut = _tasks(_cut, K, split=True)
     parts = [cut(K, B, "url", block) for block in urls_ds.to_arrow_refs()]
@@ -262,7 +205,7 @@ def links_to_edges(links_ds, mapping_ds, n, num_partitions=16,
     partition). ``carry`` names extra int64 link columns (e.g. a
     crawl-slice tag) kept through the exchange and folded into the
     dedup key, so ONE pass can serve every slice."""
-    K = _width(num_partitions, n)
+    K = _width(num_partitions, n, _IDS_BUCKET_ROWS)
     carry = list(carry)
     cut = _tasks(_cut, K, split=True)
     m_parts = [cut(K, K, "url", b) for b in mapping_ds.to_arrow_refs()]

@@ -520,9 +520,10 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
     no restart markers) into an (h, w, 3) uint8 RGB array. The IDCT
     is the same fixed-point integer transform the encoder uses, so
     the decoded planes are an exact integer function of the coded
-    coefficients. Progressive (SOF2), arithmetic coding, DRI and
-    other samplings raise ``NotImplementedError`` — the remaining
-    codec seam."""
+    coefficients. Progressive (SOF2), arithmetic coding, DRI,
+    multi-scan (non-interleaved) files and other samplings raise
+    ``NotImplementedError`` — the remaining codec seam. Stray RSTn and
+    TEM markers in the header carry no length and are stepped over."""
     buf = bytes(buf)
     if buf[:2] != b"\xFF\xD8":
         raise ValueError("not a JPEG payload")
@@ -539,6 +540,9 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
         marker = buf[pos + 1]
         if marker == 0xD9:
             break
+        if 0xD0 <= marker <= 0xD7 or marker == 0x01:
+            pos += 2                    # RSTn / TEM carry no length
+            continue
         ln = int.from_bytes(buf[pos + 2:pos + 4], "big")
         body = buf[pos + 4:pos + 2 + ln]
         if marker == 0xDB:
@@ -594,6 +598,10 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
     if sof is None or scan_data is None:
         raise ValueError("JPEG missing SOF/SOS")
     h, w, comps = sof
+    if sorted(c for c, _, _ in scan_comps) != sorted(c for c, *_ in comps):
+        raise NotImplementedError(
+            "multi-scan (non-interleaved) JPEG: the first scan codes "
+            f"{len(scan_comps)} of {len(comps)} components")
     samps = [(sx, sy) for _, sx, sy, _ in comps]
     if samps not in ([(2, 2), (1, 1), (1, 1)], [(1, 1)] * 3,
                      [(1, 1)]):

@@ -10,6 +10,8 @@ hash-mismatch under the driver's value hash.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -31,11 +33,12 @@ def round2(x) -> np.ndarray:
 
 def session_cpus() -> int:
     """Logical CPUs of the Ray session (at least 1; 1 when the cluster
-    reports no CPU resource). Starts Ray first if it is not running,
-    as the first Ray Data or task call would."""
+    reports no CPU resource). Library code never starts Ray: when it
+    is not running this is the host's CPU count, the size of the
+    session the next Ray call starts by default."""
     import ray
     if not ray.is_initialized():
-        ray.init()
+        return os.cpu_count() or 1
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 

@@ -257,3 +257,28 @@ def test_jpeg_roundtrip_and_seams():
     dri = buf[:2] + b"\xff\xdd\x00\x04\x00\x08" + buf[2:]
     with pytest.raises(NotImplementedError):
         mm.decode_jpeg(dri)
+
+
+def test_jpeg_multi_scan_is_a_seam_not_a_key_error():
+    """A baseline file whose first scan codes fewer components than the
+    frame holds (a non-interleaved, multi-scan JPEG) raises the
+    documented ``NotImplementedError``, not a ``KeyError``."""
+    buf = mm.encode_jpeg(np.full((8, 8, 3), 100, dtype=np.uint8))
+    sos = b"\xff\xda\x00\x0c\x03\x01\x00\x02\x11\x03\x11\x00\x3f\x00"
+    assert buf.count(sos) == 1
+    one_comp = b"\xff\xda\x00\x08\x01\x01\x00\x00\x3f\x00"
+    with pytest.raises(NotImplementedError, match="multi-scan"):
+        mm.decode_jpeg(buf.replace(sos, one_comp))
+
+
+@pytest.mark.parametrize("marker", [b"\xff\xd0", b"\xff\xd7", b"\xff\x01"])
+def test_jpeg_header_steps_over_markers_without_length(marker):
+    """RSTn (0xD0-0xD7) and TEM (0x01) carry no length field: one
+    between two header segments is stepped over and the image decodes
+    as without it."""
+    xx, yy = np.meshgrid(np.arange(16), np.arange(16))
+    rgb = np.stack([xx * 9, yy * 11, (xx + yy) * 5], -1).astype(np.uint8)
+    buf = mm.encode_jpeg(rgb)
+    sof = buf.index(b"\xff\xc0")
+    assert np.array_equal(mm.decode_jpeg(buf[:sof] + marker + buf[sof:]),
+                          mm.decode_jpeg(buf))
